@@ -6,6 +6,8 @@ non-identifiability, and can verify emitted estimands against an exact
 discrete SCM oracle.
 """
 
+import importlib
+
 from .errors import (
     CycleError,
     EvaluationError,
@@ -62,17 +64,32 @@ from .identify import (
     identify_district,
     is_hedge,
 )
-from .oracle import (
-    DiscreteScm,
-    VerificationReport,
-    interventional,
-    observed_joint,
-    random_scm,
-    verify,
-)
-from .tables import ProbTable
 
 __version__ = "0.1.0"
+
+# numpy-backed names, imported on first use so that identification alone
+# never loads numpy
+_LAZY = {
+    "DiscreteScm": "oracle",
+    "VerificationReport": "oracle",
+    "interventional": "oracle",
+    "observed_joint": "oracle",
+    "random_scm": "oracle",
+    "verify": "oracle",
+    "ProbTable": "tables",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "CForest",

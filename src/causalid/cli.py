@@ -19,10 +19,9 @@ from .errors import (
     NotFixableError,
     QueryError,
 )
-from .fixing import FixingSequence, find_valid_sequence, fix, reachable_closure
+from .fixing import fix, reachable_closure
 from .graph import MixedGraph
 from .identify import NotIdentified, Query, identify
-from .oracle import random_scm, verify
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -51,6 +50,16 @@ def _as_admg(g: MixedGraph):
 
 def _query_from_args(args) -> Query:
     return Query(outcomes=_split_names(args.outcome), treatments=_split_names(args.treatment))
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _default_seed() -> int:
@@ -120,6 +129,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import random_scm, verify  # loads numpy; no other command needs it
+
     g = _load_graph(args.graph)
     if not g.hidden:
         raise GraphError(
@@ -192,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--treatment", default="")
     p.add_argument("--outcome", required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_non_negative_int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--cards", type=int, default=2, help="cardinality used for every vertex")

@@ -22,10 +22,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Tuple, Union
 
 from .errors import EvaluationError, ExpressionParseError
-from .tables import ProbTable
+
+if TYPE_CHECKING:  # numpy-backed; imported only for annotations
+    from .tables import ProbTable
 
 SCHEMA_VERSION = 1
 
@@ -91,14 +93,20 @@ Expr = Union[Factor, Product, Quotient, Sum, Marginal]
 
 # ------------------------------------------------------------ structure utils
 
-def free_vars(e: Expr, _cache: Dict[int, FrozenSet[str]] = None) -> FrozenSet[str]:
-    """Names of variables occurring free in the expression."""
+def free_vars(
+    e: Expr, _cache: Dict[int, Tuple[Expr, FrozenSet[str]]] = None
+) -> FrozenSet[str]:
+    """Names of variables occurring free in the expression.
+
+    ``_cache`` maps ``id(node)`` to ``(node, names)``; holding the node keeps
+    its id from being reused by a new node while the cache lives.
+    """
     cache = _cache if _cache is not None else {}
 
     def go(node) -> FrozenSet[str]:
-        key = id(node)
-        if key in cache:
-            return cache[key]
+        hit = cache.get(id(node))
+        if hit is not None:
+            return hit[1]
         if isinstance(node, Factor):
             out = frozenset(
                 s.ref.name
@@ -113,7 +121,7 @@ def free_vars(e: Expr, _cache: Dict[int, FrozenSet[str]] = None) -> FrozenSet[st
             out = go(node.body) - {v for v, _ in node.indices}
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        cache[key] = out
+        cache[id(node)] = (node, out)
         return out
 
     return go(e)
@@ -206,12 +214,14 @@ def simplify(e: Expr) -> Expr:
     verification; no value is ever changed on positive tables.
     """
 
-    cache: Dict[int, Expr] = {}
+    # id(node) -> (node, result); holding the node keeps a temporary
+    # quotient's id from being reused by the next one
+    cache: Dict[int, Tuple[Expr, Expr]] = {}
 
     def go(node) -> Expr:
-        key = id(node)
-        if key in cache:
-            return cache[key]
+        hit = cache.get(id(node))
+        if hit is not None:
+            return hit[1]
         out = node
         if isinstance(node, Product):
             terms = tuple(go(t) for t in node.terms)
@@ -230,7 +240,7 @@ def simplify(e: Expr) -> Expr:
                 out = Quotient(num, den)
         elif isinstance(node, (Sum, Marginal)):
             out = type(node)(indices=node.indices, body=go(node.body))
-        cache[key] = out
+        cache[id(node)] = (node, out)
         return out
 
     return go(e)
@@ -250,7 +260,7 @@ class Evaluator:
         self.joint = joint
         self._cards = joint.card_map()
         self._marginals: Dict[Tuple[str, ...], ProbTable] = {}
-        self._free: Dict[int, FrozenSet[str]] = {}
+        self._free: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
         self._memo: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], float] = {}
 
     def _marginal(self, vs: Tuple[str, ...]) -> ProbTable:
@@ -265,6 +275,8 @@ class Evaluator:
         return self._eval(e, dict(binding))
 
     def _eval(self, node, env) -> float:
+        # ``self._free`` holds every node seen here, so ``id(node)`` stays
+        # unique for as long as the memo does
         fv = free_vars(node, self._free)
         key = (id(node), tuple(sorted((v, env[v]) for v in fv)))
         hit = self._memo.get(key)

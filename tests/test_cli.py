@@ -156,6 +156,14 @@ def test_verify_zero_trials_is_trivially_green(capsys):
     assert json.loads(out)["max_deviation"] == 0.0
 
 
+def test_verify_negative_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", fixture("fig1b"),
+                         "--treatment", "A1,A2", "--outcome", "Y", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--trials: must be non-negative" in err
+
+
 def test_verify_not_identified(capsys):
     code, out, err = run(capsys, "verify", fixture("fig1b"),
                          "--treatment", "A2", "--outcome", "Y", "--trials", "3")
@@ -193,6 +201,14 @@ def test_missing_required_flag(capsys):
 ROOT = FIXTURES.parent
 
 
+def src_env():
+    """The environment with the checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def declared_script():
     """The target of the `causalid` console script declared in pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -220,13 +236,10 @@ def test_entry_point_installed():
         name="causalid", value=declared_script(), group="console_scripts")
     assert ep.load() is main
     script = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
 
     def console(*argv):
         return subprocess.run([sys.executable, "-c", script, *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=src_env(), capture_output=True, text=True, timeout=60)
 
     proc = console("districts", fixture("fig1c"))
     assert proc.returncode == 0 and proc.stdout
@@ -240,3 +253,77 @@ def test_entry_point_on_path_when_installed():
         group="console_scripts", name="causalid")
     assert [ep.value for ep in installed] == [declared_script()]
     assert shutil.which("causalid") is not None
+
+
+# ------------------------------------------------------------- lazy numpy
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that loads the checkout's causalid."""
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def numpy_loaded_after_main(*argv):
+    """``cli.main(argv)``'s exit code, and whether numpy was loaded by then."""
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from causalid.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({list(argv)!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    code, loaded = out.split()
+    return int(code), loaded == "True"
+
+
+@pytest.mark.parametrize("statement", ["import causalid", "import causalid.cli"])
+def test_import_does_not_load_numpy(statement):
+    out = run_python(f"{statement}\nimport sys\nprint('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    *[("identify", "fig1d", "--treatment", "A", "--outcome", "Y", "--format", fmt)
+      for fmt in ("text", "latex", "json", "dot")],
+    ("districts", "fig1c"),
+    ("fix", "fig1c", "--sequence", "A1,W,A2"),
+    ("closure", "fig1c", "--set", "W,Y"),
+    ("project", "fig1b"),
+], ids=lambda argv: " ".join(argv))
+def test_graph_commands_do_not_load_numpy(argv):
+    command, name, *rest = argv
+    assert numpy_loaded_after_main(command, fixture(name), *rest) == (0, False)
+
+
+def test_verify_loads_numpy():
+    assert numpy_loaded_after_main(
+        "verify", fixture("fig1b"), "--treatment", "A1,A2", "--outcome", "Y",
+        "--trials", "1") == (0, True)
+
+
+def test_star_import_binds_all_names():
+    out = run_python(
+        "import causalid\n"
+        "ns = {}\n"
+        "exec('from causalid import *', ns)\n"
+        "print(sorted(set(causalid.__all__) - set(ns)))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_lazy_names_resolve_like_eager_ones():
+    out = run_python(
+        "import inspect, causalid, causalid.cli\n"
+        "print('random_scm' in dir(causalid))\n"
+        "print(causalid.ProbTable is causalid.tables.ProbTable)\n"
+        "print(inspect.isfunction(causalid.identify))\n"
+        "try:\n"
+        "    causalid.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "True", "True", "True", "module 'causalid' has no attribute 'no_such_name'"]

@@ -105,6 +105,15 @@ def test_simplify_cancellation():
     assert simplify(Product(terms=(a,))) == a
 
 
+def test_simplify_temporary_quotients_do_not_share_results():
+    # each term rewrites through a temporary Quotient that is freed at once;
+    # the second one must not inherit the first one's cached result
+    a, b, c = factor(["A"]), factor(["B"]), factor(["C"])
+    ab, ac = Quotient(a, b), Quotient(a, c)
+    e = Product(terms=(Quotient(ab, ac), Quotient(ac, ab)))
+    assert simplify(e) == Product(terms=(Quotient(c, b), Quotient(b, c)))
+
+
 def test_simplify_preserves_value():
     joint = random_positive_joint(5, ("A", "B", "C"), (2, 3, 2))
     a = factor(["A"], ["B"])
@@ -198,6 +207,23 @@ def test_evaluator_memo_reuse():
         one_shot = evaluate(FRONT_DOOR_ABC, joint, {"a": a, "y": y})
         assert ev.evaluate(FRONT_DOOR_ABC, joint_binding := {"a": a, "y": y}) == pytest.approx(
             one_shot, abs=1e-14)
+
+
+def test_evaluator_memo_survives_freed_nodes():
+    # P(A, B) = [[.1, .2], [.3, .4]]: p(A=0) = .3, p(B=0) = .4. Each factor is
+    # freed after use, so a new one may take its id; the memo must not answer
+    # for the freed one.
+    joint = ProbTable(variables=("A", "B"), cards=(2, 2),
+                      values=np.array([[0.1, 0.2], [0.3, 0.4]]))
+    ev = Evaluator(joint)
+    zero = Const(0)
+    for _ in range(50):
+        fa = Factor(outcomes=(Slot("A", zero),))
+        assert ev.evaluate(fa, {}) == pytest.approx(0.3, abs=1e-15)
+        del fa
+        fb = Factor(outcomes=(Slot("B", zero),))
+        assert ev.evaluate(fb, {}) == pytest.approx(0.4, abs=1e-15)
+        del fb
 
 
 # shared-structure variant over vertices A, B(=mediator), C(=outcome proxy)
