@@ -19,7 +19,7 @@ from .errors import (
     NotFixableError,
     QueryError,
 )
-from .fixing import fix, reachable_closure
+from .fixing import fix_all, reachable_closure
 from .graph import MixedGraph
 from .identify import NotIdentified, Query, identify
 
@@ -52,14 +52,17 @@ def _query_from_args(args) -> Query:
     return Query(outcomes=_split_names(args.outcome), treatments=_split_names(args.treatment))
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _non_negative(cast):
+    """An argparse type: ``cast`` the text, then reject negatives and NaN."""
+
+    def parse(text: str):
+        value = cast(text)  # argparse reports a ValueError as "invalid <cast> value"
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
 
 
 def _default_seed() -> int:
@@ -110,14 +113,7 @@ def cmd_districts(args) -> int:
 
 def cmd_fix(args) -> int:
     g = _as_admg(_load_graph(args.graph))
-    steps = _split_names(args.sequence)
-    cur = g
-    for i, step in enumerate(steps):
-        try:
-            cur = fix(cur, step)
-        except NotFixableError:
-            raise GraphError(f"{step} not fixable at step {i + 1}") from None
-    sys.stdout.write(cur.to_json())
+    sys.stdout.write(fix_all(g, _split_names(args.sequence)).to_json())
     return EXIT_OK
 
 
@@ -203,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--treatment", default="")
     p.add_argument("--outcome", required=True)
-    p.add_argument("--trials", type=_non_negative_int, default=100)
+    p.add_argument("--trials", type=_non_negative(int), default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_non_negative(float), default=1e-9)
     p.add_argument("--cards", type=int, default=2, help="cardinality used for every vertex")
     p.set_defaults(func=cmd_verify)
 

@@ -356,58 +356,32 @@ def _fresh(base: str, used) -> str:
     return name
 
 
-def render_text(e: Expr) -> str:
-    """Plain-text form, e.g. ``sum_{c,m} (sum_{a'} p(Y|m,a',c) p(a'|c)) p(m|a,c) p(c)``."""
+# A rendering style: factor bar, quotient format, quotient wrap, sum format,
+# index separator, sum wrap. A wrap applies to a quotient or sum in a product.
+_TEXT = (" | ", "({num}) / ({den})", "({})", "sum_{{{idx}}} {body}", ",", "({})")
+_LATEX = (
+    " \\mid ", "\\frac{{{num}}}{{{den}}}", "{}", "\\sum_{{{idx}}} {body}", ", ",
+    "\\left( {} \\right)",
+)
+
+
+def _render(e: Expr, style: Tuple[str, ...]) -> str:
+    bar, quotient, wrap_quotient, sum_, index_sep, wrap_sum = style
 
     def go(node, env, wrap: bool) -> str:
         if isinstance(node, Factor):
             outs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.outcomes)
             if node.given:
                 givs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.given)
-                return f"p({outs} | {givs})"
-            return f"p({outs})"
-        if isinstance(node, Product):
-            parts = [go(t, env, not isinstance(t, Factor)) for t in node.terms]
-            return " ".join(parts)
-        if isinstance(node, Quotient):
-            num = go(node.numerator, env, False)
-            den = go(node.denominator, env, False)
-            s = f"({num}) / ({den})"
-            return f"({s})" if wrap else s
-        if isinstance(node, (Sum, Marginal)):
-            used = set(env.values())
-            inner_env = dict(env)
-            shown = []
-            for name, _vertex in node.indices:
-                disp = _fresh(name.lower(), used)
-                used.add(disp)
-                inner_env[name] = disp
-                shown.append(disp)
-            body = go(node.body, inner_env, False)
-            s = f"sum_{{{','.join(shown)}}} {body}"
-            return f"({s})" if wrap else s
-        raise TypeError(f"not an expression node: {node!r}")
-
-    env = {v: v for v in free_vars(e)}
-    return go(e, env, False)
-
-
-def render_latex(e: Expr) -> str:
-    """LaTeX math-mode form of the expression."""
-
-    def go(node, env, wrap: bool) -> str:
-        if isinstance(node, Factor):
-            outs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.outcomes)
-            if node.given:
-                givs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.given)
-                return f"p({outs} \\mid {givs})"
+                return f"p({outs}{bar}{givs})"
             return f"p({outs})"
         if isinstance(node, Product):
             return " ".join(go(t, env, not isinstance(t, Factor)) for t in node.terms)
         if isinstance(node, Quotient):
-            num = go(node.numerator, env, False)
-            den = go(node.denominator, env, False)
-            return f"\\frac{{{num}}}{{{den}}}"
+            s = quotient.format(
+                num=go(node.numerator, env, False), den=go(node.denominator, env, False)
+            )
+            return wrap_quotient.format(s) if wrap else s
         if isinstance(node, (Sum, Marginal)):
             used = set(env.values())
             inner_env = dict(env)
@@ -418,12 +392,22 @@ def render_latex(e: Expr) -> str:
                 inner_env[name] = disp
                 shown.append(disp)
             body = go(node.body, inner_env, False)
-            s = f"\\sum_{{{', '.join(shown)}}} {body}"
-            return f"\\left( {s} \\right)" if wrap else s
+            s = sum_.format(idx=index_sep.join(shown), body=body)
+            return wrap_sum.format(s) if wrap else s
         raise TypeError(f"not an expression node: {node!r}")
 
     env = {v: v for v in free_vars(e)}
     return go(e, env, False)
+
+
+def render_text(e: Expr) -> str:
+    """Plain-text form, e.g. ``sum_{c,m} (sum_{a'} p(Y|m,a',c) p(a'|c)) p(m|a,c) p(c)``."""
+    return _render(e, _TEXT)
+
+
+def render_latex(e: Expr) -> str:
+    """LaTeX math-mode form of the expression."""
+    return _render(e, _LATEX)
 
 
 def render_dot(e: Expr) -> str:

@@ -252,56 +252,6 @@ class MixedGraph:
         keep = (set(self.random) | set(self.fixed)) - avoid
         return self.induced_subgraph(keep).ancestors(outcomes)
 
-    # -------------------------------------------------------- collider paths
-
-    def collider_blanket(self, v: str, include_single_directed: bool = False) -> FrozenSet[str]:
-        """Random vertices that are parents of ``v`` or collider-path endpoints.
-
-        The default reading treats a collider path as one whose first edge is
-        bidirected (so a lone directed edge out of ``v`` does not count); this
-        coincides with the district of ``v`` together with the district's
-        parents, and is the reading that matches the conditioning set used in
-        kernel synthesis on the shipped fixtures.  With
-        ``include_single_directed=True`` the literal reading is used instead:
-        every path whose interior triples all collide at their middle vertex
-        qualifies, including single directed edges out of ``v``.
-        """
-        self._require([v])
-        if not self.is_random(v):
-            raise GraphError(f"collider_blanket requires a random vertex, {v!r} is fixed")
-        rnd = set(self.random)
-        if not include_single_directed:
-            dis = self.district_of(v)
-            return frozenset(((dis | self.parents(dis)) & rnd) - {v})
-        return frozenset(self._collider_path_endpoints(v) | (self._pa[v] & rnd))
-
-    def _collider_path_endpoints(self, v: str) -> Set[str]:
-        # Enumerate simple paths whose interior triples are all colliders.
-        # Graphs here are desk-scale, so explicit enumeration is fine.
-        rnd = set(self.random)
-        out: Set[str] = set()
-
-        def edges_from(u: str):
-            for c in self._ch[u]:
-                yield c, False, True  # u -> c : head at c only
-            for p in self._pa[u]:
-                yield p, True, False  # u <- p : head at u only
-            for s in self._sib[u]:
-                yield s, True, True  # u <-> s : heads at both
-
-        def walk(u: str, head_at_u: bool, visited: Set[str]):
-            for w, head_u, head_w in edges_from(u):
-                if w in visited:
-                    continue
-                if u != v and not (head_at_u and head_u):
-                    continue  # interior triple must collide at u
-                if w in rnd:
-                    out.add(w)
-                walk(w, head_w, visited | {w})
-
-        walk(v, False, {v})
-        return out - {v}
-
     # ------------------------------------------------------ latent projection
 
     def latent_project(self) -> "MixedGraph":

@@ -337,7 +337,7 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
             query=query,
             witness=witness,
             failing_district=worst,
-            closure=tuple(sorted(reachable_closure(g, worst))),
+            closure=witness.outer.vertices,  # the reachable closure of ``worst``
             failing_districts=tuple(failing),
         )
 

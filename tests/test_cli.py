@@ -128,7 +128,7 @@ def test_fix_outputs_cadmg(capsys):
 def test_fix_invalid_step(capsys):
     code, out, err = run(capsys, "fix", fixture("fig1c"), "--sequence", "A2")
     assert code == 2
-    assert "A2 not fixable at step 1" in err
+    assert "'A2' not fixable at step 1" in err
 
 
 def test_closure(capsys):
@@ -162,6 +162,18 @@ def test_verify_negative_trials_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "--trials: must be non-negative" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "argument --tol: must be non-negative, got -1.0"),
+    ("--tol", "nan", "argument --tol: must be non-negative, got nan"),
+    ("--trials", "x", "argument --trials: invalid int value: 'x'"),
+])
+def test_verify_bad_number_is_usage_error(capsys, flag, value, message):
+    code, out, err = run(capsys, "verify", fixture("fig1b"), "--treatment", "A1,A2",
+                         "--outcome", "Y", "--trials", "1", flag, value)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_verify_not_identified(capsys):

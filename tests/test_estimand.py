@@ -249,11 +249,25 @@ def test_render_text_const():
 
 
 def test_render_latex():
-    tex = render_latex(FRONT_DOOR)
-    assert "\\sum_{c, m}" in tex
-    assert "\\mid" in tex
+    assert render_latex(FRONT_DOOR) == (
+        "\\sum_{c, m} \\left( \\sum_{a'} p(Y \\mid m, a', c) p(a' \\mid c) \\right) "
+        "p(m \\mid a, c) p(c)"
+    )
     q = Quotient(factor(["A"]), factor(["B"]))
     assert render_latex(q) == "\\frac{p(a)}{p(b)}"
+
+
+def test_render_wrapped_product_terms():
+    # a quotient or a sum inside a product is wrapped; a factor is not
+    e = Product(terms=(
+        Quotient(factor(["A"]), factor(["B"])),
+        Sum(indices=(("c", "C"),), body=factor(["C"])),
+        factor(["D"], ["A"]),
+    ))
+    assert render_text(e) == "((p(a)) / (p(b))) (sum_{c} p(c)) p(d | a)"
+    assert render_latex(e) == (
+        "\\frac{p(a)}{p(b)} \\left( \\sum_{c} p(c) \\right) p(d \\mid a)"
+    )
 
 
 def test_render_binder_freshening_nested():

@@ -1,4 +1,3 @@
-import itertools
 import random as pyrandom
 
 import pytest
@@ -255,52 +254,6 @@ def test_ystar_matches_brute_force():
         y = set(rng.sample(names, 2))
         a = set(rng.sample([v for v in names if v not in y], 2))
         assert g.ancestral_avoiding(y, a) == brute_ancestral_avoiding(g, y, a)
-
-
-# ------------------------------------------------------------ collider blanket
-
-def test_collider_blanket_fig1c_after_fixing_a1(fig1c):
-    from causalid import fix
-
-    cadmg = fix(fig1c, "A1")
-    assert cadmg.collider_blanket("W") == {"A2", "Y"}
-    assert cadmg.collider_blanket("W", include_single_directed=True) == {"A2", "Y"}
-
-
-def test_collider_blanket_source_in_dag(fig1a):
-    assert fig1a.collider_blanket("A1") == frozenset()
-
-
-def test_collider_blanket_fig1e_readings(fig1e):
-    assert fig1e.collider_blanket("M") == {"C"}
-    assert fig1e.collider_blanket("M", include_single_directed=True) == {"C", "Y"}
-
-
-def test_collider_blanket_default_reading_matches_fixing_conditional(fig1e):
-    # when M is fixed in this graph its synthesis conditional is p(M | C);
-    # conditioning on the default blanket {C} reproduces it, conditioning on
-    # the wider single-directed-edge reading {C, Y} does not
-    from causalid import observed_joint, random_scm
-
-    scm = random_scm(fig1e, {v: 2 for v in fig1e.random}, seed=77)
-    v = observed_joint(scm).values  # axes C, M, Y
-    default = fig1e.collider_blanket("M")
-    literal = fig1e.collider_blanket("M", include_single_directed=True)
-    assert default == {"C"} and literal == {"C", "Y"}
-    worst = 0.0
-    for c, m, y in itertools.product(range(2), repeat=3):
-        p_m_given_tk = v[c, m, :].sum() / v[c, :, :].sum()
-        p_m_given_default = p_m_given_tk  # same conditioning set {C}
-        p_m_given_literal = v[c, m, y] / v[c, :, y].sum()
-        assert p_m_given_default == pytest.approx(p_m_given_tk, abs=1e-12)
-        worst = max(worst, abs(p_m_given_literal - p_m_given_tk))
-    assert worst > 1e-3  # the literal reading genuinely disagrees
-
-
-def test_collider_blanket_rejects_fixed():
-    g = MixedGraph(random=["A"], fixed=["S"], directed=[("S", "A")])
-    with pytest.raises(GraphError):
-        g.collider_blanket("S")
 
 
 # -------------------------------------------------------------- serialization

@@ -20,6 +20,7 @@ from causalid import (
     identify,
     identify_district,
     is_hedge,
+    reachable_closure,
     render_text,
     well_formed,
 )
@@ -319,6 +320,7 @@ def test_failure_characterizations_agree_and_match_identify():
         if a:
             saw_fail += 1
             assert is_hedge(g, q, res.witness)
+            assert res.closure == tuple(sorted(reachable_closure(g, res.failing_district)))
         else:
             saw_ok += 1
     assert saw_fail > 10 and saw_ok > 10
