@@ -45,7 +45,6 @@ from .fixing import (
     fix_all,
     is_fixable,
     is_intrinsic,
-    is_reachable,
     reachable_closure,
 )
 from .graph import MixedGraph
@@ -136,7 +135,6 @@ __all__ = [
     "is_fixable",
     "is_hedge",
     "is_intrinsic",
-    "is_reachable",
     "observed_joint",
     "random_scm",
     "reachable_closure",

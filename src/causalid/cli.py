@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -53,20 +54,18 @@ def _query_from_args(args) -> Query:
 
 
 def _non_negative(cast):
-    """An argparse type: ``cast`` the text, then reject negatives and NaN."""
+    """An argparse type: ``cast`` the text, then reject negatives, NaN and +inf."""
 
     def parse(text: str):
         value = cast(text)  # argparse reports a ValueError as "invalid <cast> value"
         if not value >= 0:
             raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
 
     parse.__name__ = cast.__name__
     return parse
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("IDENT_SEED", "0"))
 
 
 # ----------------------------------------------------------------- subcommands
@@ -200,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--treatment", default="")
     p.add_argument("--outcome", required=True)
     p.add_argument("--trials", type=_non_negative(int), default=100)
-    p.add_argument("--seed", type=int, default=None)
+    # argparse casts a string default, so a bad IDENT_SEED is a usage error too
+    p.add_argument("--seed", type=_non_negative(int), default=os.environ.get("IDENT_SEED", "0"))
     p.add_argument("--tol", type=_non_negative(float), default=1e-9)
     p.add_argument("--cards", type=int, default=2, help="cardinality used for every vertex")
     p.set_defaults(func=cmd_verify)
@@ -214,8 +214,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        args.seed = _default_seed()
     try:
         return args.func(args)
     except (GraphError, QueryError, NotFixableError, EvaluationError, ExpressionParseError) as exc:

@@ -33,14 +33,9 @@ class FixingSequence:
 
 @dataclass(frozen=True)
 class NotReachable:
-    """Greedy search got stuck: ``residual`` could not be fixed.
-
-    ``graph`` is the CADMG at the stuck point, kept so diagnostics can build a
-    hedge certificate without replaying the search.
-    """
+    """Greedy search got stuck: ``residual`` could not be fixed."""
 
     residual: Tuple[str, ...]
-    graph: MixedGraph
 
 
 def is_fixable(g: MixedGraph, r: str) -> bool:
@@ -95,14 +90,8 @@ def find_valid_sequence(
                 remaining.discard(r)
                 break
         else:
-            return NotReachable(residual=tuple(sorted(remaining)), graph=cur)
+            return NotReachable(residual=tuple(sorted(remaining)))
     return FixingSequence(steps=tuple(steps))
-
-
-def is_reachable(g: MixedGraph, s: Iterable[str]) -> bool:
-    """True iff the complement of ``s`` admits a valid fixing sequence."""
-    s = set(s)
-    return isinstance(find_valid_sequence(g, set(g.random) - s), FixingSequence)
 
 
 def reachable_closure(g: MixedGraph, s: Iterable[str]) -> FrozenSet[str]:

@@ -341,18 +341,6 @@ class MixedGraph:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def to_dot(self) -> str:
-        lines = ["digraph G {"]
-        for v in self.vertices:
-            shape = "box" if v in set(self.fixed) else "ellipse"
-            lines.append(f'  "{v}" [shape={shape}];')
-        for t, h in sorted(self.directed):
-            lines.append(f'  "{t}" -> "{h}";')
-        for e in sorted(sorted(p) for p in self.bidirected):
-            lines.append(f'  "{e[0]}" -> "{e[1]}" [dir=both, style=dashed];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
     # --------------------------------------------------------------- equality
 
     def __eq__(self, other) -> bool:

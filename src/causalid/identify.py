@@ -11,18 +11,11 @@ correctness is certified numerically by the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import estimand as ex
 from .errors import GraphError, QueryError
-from .fixing import (
-    FixingSequence,
-    NotReachable,
-    find_valid_sequence,
-    fix,
-    is_intrinsic,
-    reachable_closure,
-)
+from .fixing import NotReachable, find_valid_sequence, fix, is_intrinsic, reachable_closure
 from .graph import MixedGraph
 
 
@@ -157,7 +150,6 @@ class CForest:
 class HedgeWitness:
     inner: CForest
     outer: CForest
-    query: Query
 
     def to_dict(self) -> dict:
         return {
@@ -188,20 +180,28 @@ def _spanning_in_forest(g: MixedGraph, vertices, roots) -> Tuple[Tuple[str, str]
     return tuple(edges)
 
 
-def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
-    """Constructive witness for a failing district: the district itself nested
-    inside its reachable closure, rooted at the district's childless vertices."""
-    d = tuple(sorted(set(district)))
-    if is_intrinsic(g, d):
-        raise GraphError(f"district {list(d)} is intrinsic; there is no hedge to build")
-    closure = tuple(sorted(reachable_closure(g, d)))
+def _hedge(g: MixedGraph, d, closure) -> HedgeWitness:
+    """The district ``d`` nested inside its reachable ``closure``, rooted at
+    the district's childless vertices."""
+    d = tuple(sorted(d))
+    closure = tuple(sorted(closure))
     sub_d = g.induced_subgraph(d)
     roots = tuple(v for v in d if not sub_d.children({v}))
     inner = CForest(vertices=d, roots=roots, witness_edges=_spanning_in_forest(g, d, roots))
     outer = CForest(
         vertices=closure, roots=roots, witness_edges=_spanning_in_forest(g, closure, roots)
     )
-    return HedgeWitness(inner=inner, outer=outer, query=query)
+    return HedgeWitness(inner=inner, outer=outer)
+
+
+def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
+    """Constructive witness for a failing district: the district itself nested
+    inside its reachable closure, rooted at the district's childless vertices."""
+    d = set(district)
+    closure = reachable_closure(g, d)
+    if closure == d:  # the outer forest must strictly contain the inner one
+        raise GraphError(f"{sorted(d)} is its own reachable closure, like an intrinsic set: no hedge")
+    return _hedge(g, d, closure)
 
 
 def hedge_violation(g: MixedGraph, query: Query, witness: HedgeWitness) -> Optional[str]:
@@ -285,13 +285,20 @@ class NotIdentified:
     graph: MixedGraph
     query: Query
     witness: HedgeWitness
-    failing_district: Tuple[str, ...]
-    closure: Tuple[str, ...]
     failing_districts: Tuple[Tuple[str, ...], ...]
 
     @property
     def identified(self) -> bool:
         return False
+
+    @property
+    def failing_district(self) -> Tuple[str, ...]:
+        return self.witness.inner.vertices
+
+    @property
+    def closure(self) -> Tuple[str, ...]:
+        """The reachable closure of ``failing_district``."""
+        return self.witness.outer.vertices
 
     def to_dict(self) -> dict:
         return {
@@ -322,23 +329,22 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
     """Run the full identification pipeline for one query."""
     dec = decompose(g, query)
     kernels: Dict[Tuple[str, ...], ex.Expr] = {}
-    failing: List[Tuple[str, ...]] = []
+    failing: List[Tuple[Tuple[str, ...], NotReachable]] = []
     for d in dec.districts:
         res = identify_district(g, d)
         if isinstance(res, NotReachable):
-            failing.append(d)
+            failing.append((d, res))
         else:
             kernels[d] = res
     if failing:
-        worst = failing[0]  # districts are sorted by least vertex name
-        witness = find_hedge(g, query, worst)
+        # districts are sorted by least vertex name; the residual of the
+        # stuck search is the rest of the district's reachable closure
+        worst, stuck = failing[0]
         return NotIdentified(
             graph=g,
             query=query,
-            witness=witness,
-            failing_district=worst,
-            closure=witness.outer.vertices,  # the reachable closure of ``worst``
-            failing_districts=tuple(failing),
+            witness=_hedge(g, worst, set(worst) | set(stuck.residual)),
+            failing_districts=tuple(d for d, _ in failing),
         )
 
     ystar = set(dec.ystar)
@@ -387,16 +393,17 @@ def failure_characterizations(g: MixedGraph, query: Query) -> FailureReport:
 
     The hedge condition is decided constructively: when some district is not
     intrinsic, the certificate built for the first such district is validated
-    against the full hedge definition.
+    against the full hedge definition. ``is_intrinsic`` runs its own closure
+    search, so the last two flags do not read one computation twice.
     """
     dec = decompose(g, query)
+    closures = {d: reachable_closure(g, d) for d in dec.districts}
     not_intrinsic = [d for d in dec.districts if not is_intrinsic(g, d)]
-    proper_closure = [
-        d for d in dec.districts if set(d) < reachable_closure(g, d)
-    ]
+    proper_closure = [d for d in dec.districts if set(d) < closures[d]]
     hedge = False
     if not_intrinsic:
-        hedge = is_hedge(g, query, find_hedge(g, query, not_intrinsic[0]))
+        d = not_intrinsic[0]
+        hedge = is_hedge(g, query, _hedge(g, d, closures[d]))
     return FailureReport(
         hedge_exists=hedge,
         some_district_not_intrinsic=bool(not_intrinsic),

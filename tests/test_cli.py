@@ -168,10 +168,19 @@ def test_verify_negative_trials_is_usage_error(capsys):
     ("--tol", "-1", "argument --tol: must be non-negative, got -1.0"),
     ("--tol", "nan", "argument --tol: must be non-negative, got nan"),
     ("--trials", "x", "argument --trials: invalid int value: 'x'"),
+    ("--tol", "inf", "argument --tol: must be finite, got inf"),
+    ("--seed", "-1", "argument --seed: must be non-negative, got -1"),
+    # an environment variable, not a flag: the default --seed is read from it
+    ("IDENT_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
+    ("IDENT_SEED", "-2", "argument --seed: must be non-negative, got -2"),
 ])
-def test_verify_bad_number_is_usage_error(capsys, flag, value, message):
-    code, out, err = run(capsys, "verify", fixture("fig1b"), "--treatment", "A1,A2",
-                         "--outcome", "Y", "--trials", "1", flag, value)
+def test_verify_bad_number_is_usage_error(capsys, monkeypatch, flag, value, message):
+    argv = ["verify", fixture("fig1b"), "--treatment", "A1,A2", "--outcome", "Y", "--trials", "1"]
+    if flag.startswith("--"):
+        argv += [flag, value]
+    else:
+        monkeypatch.setenv(flag, value)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
 

@@ -279,16 +279,6 @@ def test_json_bidirected_order_insensitive():
     assert a == b
 
 
-def test_dot_export(fig1c):
-    g = MixedGraph(random=["A", "B"], fixed=["S"],
-                   directed=[("S", "A"), ("A", "B")], bidirected=[("A", "B")])
-    dot = g.to_dot()
-    assert '"A" -> "B";' in dot
-    assert '"A" -> "B" [dir=both, style=dashed];' in dot
-    assert '"S" [shape=box];' in dot
-    assert fig1c.to_dot().startswith("digraph")
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_json_round_trip_random_graphs(seed):

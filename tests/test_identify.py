@@ -1,8 +1,10 @@
 import itertools
 import random as pyrandom
+import sys
 
 import pytest
 
+import causalid.fixing
 from causalid import (
     Evaluator,
     GraphError,
@@ -141,17 +143,52 @@ def test_find_hedge_rejects_intrinsic(fig1c):
         find_hedge(fig1c, q, ("Y",))
 
 
+def test_find_hedge_rejects_set_equal_to_its_closure(fig1a):
+    # not bidirected-connected, so not intrinsic, yet it has no proper closure
+    q = Query(outcomes=("Y",), treatments=("A2",))
+    with pytest.raises(GraphError, match="intrinsic"):
+        find_hedge(fig1a, q, ("A1", "Y"))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Records every greedy fixing search the engine starts."""
+    calls = []
+    real = causalid.fixing.find_valid_sequence
+
+    def counted(g, targets):
+        calls.append(set(targets))
+        return real(g, targets)
+
+    # the package attribute ``causalid.identify`` is the function, not the module
+    for module in (causalid.fixing, sys.modules["causalid.identify"]):
+        monkeypatch.setattr(module, "find_valid_sequence", counted)
+    return calls
+
+
+def test_one_fixing_search_per_district(fig1c, searches):
+    q = Query(outcomes=("Y",), treatments=("A2",))
+    res = identify(fig1c, q)  # districts {A1} and the failing {W, Y}
+    assert isinstance(res, NotIdentified)
+    assert len(searches) == 2
+    searches.clear()
+    find_hedge(fig1c, q, ("W", "Y"))
+    assert len(searches) == 1
+    searches.clear()
+    failure_characterizations(fig1c, q)  # a closure and an intrinsic test each
+    assert len(searches) == 4
+
+
 def test_hedge_violation_reason_codes(fig1c):
     q = Query(outcomes=("Y",), treatments=("A2",))
     w = find_hedge(fig1c, q, ("W", "Y"))
 
-    same = HedgeWitness(inner=w.inner, outer=w.inner, query=q)
+    same = HedgeWitness(inner=w.inner, outer=w.inner)
     assert hedge_violation(fig1c, q, same) == "inner-forest-not-strictly-inside-outer"
 
     no_roots = HedgeWitness(
         inner=CForest(vertices=w.inner.vertices, roots=(), witness_edges=()),
         outer=CForest(vertices=w.outer.vertices, roots=(), witness_edges=w.outer.witness_edges),
-        query=q,
     )
     assert hedge_violation(fig1c, q, no_roots) == "roots-not-inside-inner-forest"
 
@@ -159,14 +196,12 @@ def test_hedge_violation_reason_codes(fig1c):
         inner=w.inner,
         outer=CForest(vertices=w.outer.vertices, roots=w.outer.roots,
                       witness_edges=(("Y", "A2"),)),
-        query=q,
     )
     assert hedge_violation(fig1c, q, bad_edge) == "outer-witness-edges-not-in-graph"
 
     unrooted = HedgeWitness(
         inner=w.inner,
         outer=CForest(vertices=w.outer.vertices, roots=w.outer.roots, witness_edges=()),
-        query=q,
     )
     assert hedge_violation(fig1c, q, unrooted) == "outer-not-rooted"
 
