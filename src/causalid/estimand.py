@@ -286,18 +286,13 @@ class Evaluator:
         self._memo[key] = val
         return val
 
-    def _resolve(self, slot: Slot, env) -> int:
-        if isinstance(slot.ref, Const):
-            return slot.ref.value
-        try:
-            return env[slot.ref.name]
-        except KeyError:
-            raise EvaluationError(f"missing binding for variable {slot.ref.name!r}") from None
-
     def _eval_raw(self, node, env) -> float:
         if isinstance(node, Factor):
-            out_assign = {s.vertex: self._resolve(s, env) for s in node.outcomes}
-            giv_assign = {s.vertex: self._resolve(s, env) for s in node.given}
+            # ``evaluate`` has checked that every free variable is bound
+            out_assign, giv_assign = (
+                {s.vertex: env[s.ref.name] if isinstance(s.ref, Var) else s.ref.value for s in slots}
+                for slots in (node.outcomes, node.given)
+            )
             all_vs = tuple(sorted(set(out_assign) | set(giv_assign)))
             num = self._marginal(all_vs).prob({**giv_assign, **out_assign})
             if not node.given:

@@ -2,10 +2,11 @@
 
 Given an ADMG and a query p(Y | do(a)), either synthesize a symbolic estimand
 over the observed joint or construct a hedge certificate of
-non-identifiability. Kernel synthesis conditions on the complement of the
-current descendant set at each fixing step, expressed as a quotient of
-marginals of the running kernel; no algebraic simplification is attempted,
-correctness is certified numerically by the oracle.
+non-identifiability. Kernel synthesis fixes one vertex at a time: a childless
+vertex is marginalized out of the running kernel, and any other is divided
+out as its conditional given its non-descendants, a quotient of marginals.
+No simplification pass follows; correctness is certified numerically by the
+oracle.
 """
 
 from __future__ import annotations
@@ -99,11 +100,13 @@ def decompose(g: MixedGraph, query: Query) -> Decomposition:
 
 # ----------------------------------------------------------- kernel synthesis
 
-def _marginalize(e: ex.Expr, vertices) -> ex.Expr:
-    vertices = sorted(vertices)
-    if not vertices:
-        return e
-    return ex.Marginal(indices=tuple((v, v) for v in vertices), body=e)
+def _require_connected(g: MixedGraph, d) -> None:
+    if len(g.induced_subgraph(d).districts()) != 1:
+        raise GraphError(f"district {sorted(d)} is not bidirected-connected")
+
+
+def _marginalize(e: ex.Expr, vertices) -> ex.Marginal:
+    return ex.Marginal(indices=tuple((v, v) for v in sorted(vertices)), body=e)
 
 
 def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
@@ -114,9 +117,7 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
     """
     _require_admg(g)
     d = set(district)
-    sub = g.induced_subgraph(d)
-    if len(sub.districts()) != 1:
-        raise GraphError(f"district {sorted(d)} is not bidirected-connected")
+    _require_connected(g, d)
     res = find_valid_sequence(g, set(g.random) - d)
     if isinstance(res, NotReachable):
         return res
@@ -124,15 +125,16 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
     cur = g
     for j in res.steps:
         desc = cur.descendants({j})
-        # p(j | everything left that is not a descendant of j), taken within
-        # the running kernel, as a quotient of its marginals
-        conditional = ex.Quotient(
-            numerator=_marginalize(kernel, desc - {j}),
-            denominator=_marginalize(kernel, desc),
-        )
-        kernel = ex.Quotient(numerator=kernel, denominator=conditional)
+        marginal = _marginalize(kernel, desc)
+        if desc == {j}:  # j is childless: fixing it is a plain marginal
+            kernel = marginal
+        else:
+            # divide by p(j | everything left that is not a descendant of j),
+            # taken within the running kernel as a quotient of its marginals
+            conditional = ex.Quotient(_marginalize(kernel, desc - {j}), marginal)
+            kernel = ex.Quotient(numerator=kernel, denominator=conditional)
         cur = fix(cur, j)
-    return ex.simplify(kernel)
+    return kernel
 
 
 # --------------------------------------------------------------- hedge checks
@@ -163,14 +165,7 @@ def _spanning_in_forest(g: MixedGraph, vertices, roots) -> Tuple[Tuple[str, str]
     """Each non-root keeps one edge to its least child that still reaches a root."""
     vs = set(vertices)
     sub = g.induced_subgraph(vs)
-    reach = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for v in vs - reach:
-            if sub.children({v}) & reach:
-                reach.add(v)
-                changed = True
+    reach = sub.ancestors(roots)
     edges = []
     for v in sorted(vs - set(roots)):
         if v not in reach:
@@ -198,6 +193,7 @@ def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
     """Constructive witness for a failing district: the district itself nested
     inside its reachable closure, rooted at the district's childless vertices."""
     d = set(district)
+    _require_connected(g, d)
     closure = reachable_closure(g, d)
     if closure == d:  # the outer forest must strictly contain the inner one
         raise GraphError(f"{sorted(d)} is its own reachable closure, like an intrinsic set: no hedge")
@@ -224,15 +220,7 @@ def hedge_violation(g: MixedGraph, query: Query, witness: HedgeWitness) -> Optio
         if not edge_set <= {(t, h) for t, h in g.directed if t in vs and h in vs}:
             return f"{name}-witness-edges-not-in-graph"
         # every vertex must reach a root using only witness edges
-        reach = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for t, h in edge_set:
-                if h in reach and t not in reach:
-                    reach.add(t)
-                    changed = True
-        if not vs <= reach:
+        if not vs <= MixedGraph(random=vs, directed=edge_set).ancestors(roots & vs):
             return f"{name}-not-rooted"
     if not f_in < f_out:
         return "inner-forest-not-strictly-inside-outer"

@@ -59,7 +59,8 @@ class ProbTable:
         )
 
     def prob(self, assignment: Mapping[str, int]) -> float:
-        """Marginal probability of a (possibly partial) assignment."""
-        marg = self.marginal(assignment.keys())
-        idx = tuple(assignment[v] for v in marg.variables)
-        return float(marg.values[idx])
+        """Probability of an assignment that binds exactly ``variables``;
+        any other assignment raises :class:`GraphError` (marginalize first)."""
+        if assignment.keys() != set(self.variables):
+            raise GraphError(f"assignment {sorted(assignment)} must bind exactly {list(self.variables)}")
+        return float(self.values[tuple(assignment[v] for v in self.variables)])

@@ -24,9 +24,11 @@ from causalid import (
     is_hedge,
     reachable_closure,
     render_text,
+    simplify,
     well_formed,
 )
 from causalid.identify import CForest
+from conftest import load_fig
 from helpers import random_admg, random_positive_joint, random_query_sets
 
 
@@ -119,6 +121,38 @@ def test_identify_district_rejects_disconnected(fig1c):
         identify_district(fig1c, ("A1", "Y"))
 
 
+def fixture_queries():
+    """Every query with one or two outcomes and up to two treatments on the
+    (projected) fixtures."""
+    for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e"):
+        g = load_fig(name)
+        g = g.latent_project() if g.hidden else g
+        for n_y in (1, 2):
+            for ys in itertools.combinations(g.random, n_y):
+                rest = [v for v in g.random if v not in ys]
+                for n_a in range(3):
+                    for a in itertools.combinations(rest, n_a):
+                        yield g, Query(outcomes=ys, treatments=a)
+
+
+def test_kernels_come_out_in_final_form():
+    # a childless fixing step is emitted as a plain marginal, not as a
+    # quotient for the cancellation pass to undo
+    cases = list(fixture_queries())
+    rng = pyrandom.Random(8)
+    for _ in range(200):
+        g = random_admg(rng, rng.randint(2, 6))
+        outcomes, treatments = random_query_sets(rng, g.random)
+        cases.append((g, Query(outcomes=tuple(outcomes), treatments=tuple(treatments))))
+    kernels = 0
+    for g, q in cases:
+        res = identify(g, q)
+        for _, kernel, _ in res.districts if res.identified else ():
+            assert simplify(kernel) == kernel
+            kernels += 1
+    assert kernels > 300
+
+
 # ------------------------------------------------------------------- hedges
 
 def test_find_hedge_fig1c(fig1c):
@@ -143,11 +177,16 @@ def test_find_hedge_rejects_intrinsic(fig1c):
         find_hedge(fig1c, q, ("Y",))
 
 
-def test_find_hedge_rejects_set_equal_to_its_closure(fig1a):
-    # not bidirected-connected, so not intrinsic, yet it has no proper closure
-    q = Query(outcomes=("Y",), treatments=("A2",))
-    with pytest.raises(GraphError, match="intrinsic"):
-        find_hedge(fig1a, q, ("A1", "Y"))
+@pytest.mark.parametrize("fig, treatment, vertices", [
+    ("fig1a", "A2", ("A1", "Y")),  # equal to its reachable closure
+    ("fig1c", "A2", ("A1", "Y")),  # its closure is larger
+    ("fig1d", "A", ("M", "Y")),    # its closure is larger
+], ids=["fig1a", "fig1c", "fig1d"])
+def test_find_hedge_rejects_set_equal_to_its_closure(fig, treatment, vertices):
+    # a set that is not bidirected-connected is no district, whatever its closure
+    q = Query(outcomes=("Y",), treatments=(treatment,))
+    with pytest.raises(GraphError, match="not bidirected-connected"):
+        find_hedge(load_fig(fig), q, vertices)
 
 
 @pytest.fixture
