@@ -1,8 +1,9 @@
 """Fixability tests, the fixing operator, valid sequences, and reachability.
 
 Fixing never adds edges, so a vertex that is fixable stays fixable as other
-vertices are fixed. The greedy search below exploits this: it repeatedly fixes
-the lexicographically least fixable vertex and never backtracks.
+vertices are fixed. The greedy search below exploits this: it tries targets
+sinks first (fewest descendants in the input graph, then name), repeatedly
+fixes the first fixable one and never backtracks.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ def fix(g: MixedGraph, r: str) -> MixedGraph:
     """Move ``r`` to the fixed set, dropping every edge with an arrowhead at it."""
     if not is_fixable(g, r):
         raise NotFixableError(f"{r!r} is not fixable")
-    return MixedGraph(
-        random=[v for v in g.random if v != r],
-        fixed=list(g.fixed) + [r],
-        directed=[(t, h) for t, h in g.directed if h != r],
-        bidirected=[e for e in g.bidirected if r not in e],
+    return MixedGraph._derived(
+        random=tuple(v for v in g.random if v != r),
+        fixed=tuple(sorted(g.fixed + (r,))),
+        hidden=frozenset(),
+        directed=frozenset((t, h) for t, h in g.directed if h != r),
+        bidirected=frozenset(e for e in g.bidirected if r not in e),
     )
 
 
@@ -75,22 +77,30 @@ def fix_all(g: MixedGraph, seq: Union[FixingSequence, Iterable[str]]) -> MixedGr
 def find_valid_sequence(
     g: MixedGraph, targets: Iterable[str]
 ) -> Union[FixingSequence, NotReachable]:
-    """Greedily fix all of ``targets``, or report the stuck residual set."""
+    """Greedily fix all of ``targets``, or report the stuck residual set.
+
+    Targets are tried sinks first: in order of (number of descendants in
+    ``g``, name), which is a reverse topological order. Each step fixes the
+    first remaining target in that order that is fixable. Every valid order
+    reaches the same kernel, and fixing a vertex with no descendants left
+    is a plain marginalization, so this order keeps kernels small.
+    """
     remaining = set(targets)
     unknown = remaining - set(g.random)
     if unknown:
         raise UnknownVertexError(sorted(unknown)[0])
+    order = sorted(remaining, key=lambda v: (len(g.descendants({v})), v))
     cur = g
     steps = []
-    while remaining:
-        for r in sorted(remaining):
+    while order:
+        for i, r in enumerate(order):
             if is_fixable(cur, r):
                 cur = fix(cur, r)
                 steps.append(r)
-                remaining.discard(r)
+                del order[i]
                 break
         else:
-            return NotReachable(residual=tuple(sorted(remaining)))
+            return NotReachable(residual=tuple(sorted(order)))
     return FixingSequence(steps=tuple(steps))
 
 

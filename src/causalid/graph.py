@@ -57,26 +57,45 @@ class MixedGraph:
         directed: Iterable[Tuple[str, str]] = (),
         bidirected: Iterable[Iterable[str]] = (),
     ):
-        rnd = tuple(sorted({_check_name(v) for v in random}))
-        fxd = tuple(sorted({_check_name(v) for v in fixed}))
-        hid = frozenset(_check_name(v) for v in hidden)
-        dedges = frozenset((t, h) for t, h in directed)
-        bedges = frozenset(frozenset(e) for e in bidirected)
+        self._assign(
+            tuple(sorted({_check_name(v) for v in random})),
+            tuple(sorted({_check_name(v) for v in fixed})),
+            frozenset(_check_name(v) for v in hidden),
+            frozenset((t, h) for t, h in directed),
+            frozenset(frozenset(e) for e in bidirected),
+        )
+        self._validate()
+        self._index()
 
+    @classmethod
+    def _derived(cls, random, fixed, hidden, directed, bidirected) -> "MixedGraph":
+        """A graph cut from a valid one, built without re-validation.
+
+        The caller passes the fields in normalized form (sorted tuples of
+        names, a frozenset of names, a frozenset of ``(tail, head)`` tuples and
+        a frozenset of two-element frozensets), so the result is equal, with an
+        equal hash, to what the validating constructor would build.
+        """
+        g = cls.__new__(cls)
+        g._assign(random, fixed, hidden, directed, bidirected)
+        g._index()
+        return g
+
+    def _assign(self, rnd, fxd, hid, dedges, bedges) -> None:
         object.__setattr__(self, "random", rnd)
         object.__setattr__(self, "fixed", fxd)
         object.__setattr__(self, "hidden", hid)
         object.__setattr__(self, "directed", dedges)
         object.__setattr__(self, "bidirected", bedges)
-        self._validate()
 
+    def _index(self) -> None:
         pa: Dict[str, Set[str]] = {v: set() for v in self.vertices}
         ch: Dict[str, Set[str]] = {v: set() for v in self.vertices}
         sib: Dict[str, Set[str]] = {v: set() for v in self.vertices}
-        for t, h in dedges:
+        for t, h in self.directed:
             ch[t].add(h)
             pa[h].add(t)
-        for e in bedges:
+        for e in self.bidirected:
             u, v = sorted(e)
             sib[u].add(v)
             sib[v].add(u)
@@ -229,12 +248,12 @@ class MixedGraph:
 
     def induced_subgraph(self, vs: Iterable[str]) -> "MixedGraph":
         vs = self._require(vs)
-        return MixedGraph(
-            random=[v for v in self.random if v in vs],
-            fixed=[v for v in self.fixed if v in vs],
-            hidden=[v for v in self.hidden if v in vs],
-            directed=[(t, h) for t, h in self.directed if t in vs and h in vs],
-            bidirected=[e for e in self.bidirected if set(e) <= vs],
+        return MixedGraph._derived(
+            random=tuple(v for v in self.random if v in vs),
+            fixed=tuple(v for v in self.fixed if v in vs),
+            hidden=self.hidden & vs,
+            directed=frozenset((t, h) for t, h in self.directed if t in vs and h in vs),
+            bidirected=frozenset(e for e in self.bidirected if e <= vs),
         )
 
     def ancestral_avoiding(self, outcomes: Iterable[str], avoid: Iterable[str]) -> FrozenSet[str]:

@@ -8,6 +8,7 @@ is desk-sized graphs (a handful of variables with small cardinalities).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -20,6 +21,19 @@ from .identify import Identified, Query
 from .tables import ProbTable
 
 POSITIVITY_FLOOR = 1e-3
+# The joint is dense over every vertex, hidden ones included: 2**24 float64
+# cells take 128 MiB.
+MAX_JOINT_CELLS = 2**24
+
+
+def _check_joint_size(g: MixedGraph, cards: Mapping[str, int]) -> None:
+    """Refuse, before allocating, an SCM whose dense joint is too large."""
+    cells = math.prod(int(cards[v]) for v in g.random)
+    if cells > MAX_JOINT_CELLS:
+        raise GraphError(
+            f"the joint over all {len(g.random)} vertices has {cells} cells, "
+            f"above the oracle's limit of {MAX_JOINT_CELLS}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +42,8 @@ class DiscreteScm:
 
     CPT axes are the vertex's parents in lexicographic order followed by the
     vertex itself; every row is a distribution with all entries at least
-    ``POSITIVITY_FLOOR``.
+    ``POSITIVITY_FLOOR``. The joint over all vertices may have at most
+    ``MAX_JOINT_CELLS`` cells.
     """
 
     graph: MixedGraph
@@ -57,6 +72,7 @@ class DiscreteScm:
                 raise GraphError(f"CPT rows for {v!r} do not sum to 1")
             if cpt.min() < POSITIVITY_FLOOR - 1e-12:
                 raise GraphError(f"CPT for {v!r} violates the positivity floor")
+        _check_joint_size(g, self.cards)
 
     @property
     def observed(self) -> Tuple[str, ...]:
@@ -70,7 +86,10 @@ def random_scm(g: MixedGraph, cards: Mapping[str, int], seed: int) -> DiscreteSc
     CPT cell with ``numpy.random.default_rng(seed)`` (row-major), normalize
     each row, then mix with the uniform distribution at weight
     ``cardinality * POSITIVITY_FLOOR`` so every entry is at least the floor.
+    Raises ``GraphError``, before drawing anything, when the joint over all
+    vertices would have more than ``MAX_JOINT_CELLS`` cells.
     """
+    _check_joint_size(g, cards)
     rng = np.random.default_rng(seed)
     cpts: Dict[str, np.ndarray] = {}
     for v in g.random:

@@ -9,7 +9,7 @@ import random as pyrandom
 
 import numpy as np
 
-from causalid import MixedGraph, ProbTable
+from causalid import Marginal, MixedGraph, ProbTable, Product, Quotient, Sum
 
 
 # ------------------------------------------------------- random instances
@@ -26,6 +26,12 @@ def random_admg(rng: pyrandom.Random, n: int, p_dir: float = 0.35, p_bid: float 
         if rng.random() < p_bid:
             bidirected.append((order[i], order[j]))
     return MixedGraph(random=names, directed=directed, bidirected=bidirected)
+
+
+def chain(n: int):
+    """V0 -> V1 -> ... -> V(n-1), all observed, no bidirected edges."""
+    names = [f"V{i}" for i in range(n)]
+    return MixedGraph(random=names, directed=list(zip(names, names[1:])))
 
 
 def random_hidden_dag(rng: pyrandom.Random, n_obs: int, n_hidden: int, p_dir: float = 0.4):
@@ -152,3 +158,26 @@ def exhaustive_valid_orderings(g: MixedGraph, targets):
             continue
         valid.append(perm)
     return valid
+
+
+def tree_nodes(expr) -> int:
+    """Nodes of the estimand written out as a tree: a subtree shared by
+    several parents counts once per parent. Memoized by ``id``, so the walk
+    stays linear in the number of node objects."""
+    sizes = {}
+
+    def go(node):
+        key = id(node)
+        if key not in sizes:
+            if isinstance(node, Product):
+                kids = node.terms
+            elif isinstance(node, Quotient):
+                kids = (node.numerator, node.denominator)
+            elif isinstance(node, (Sum, Marginal)):
+                kids = (node.body,)
+            else:
+                kids = ()
+            sizes[key] = 1 + sum(go(k) for k in kids)
+        return sizes[key]
+
+    return go(expr)

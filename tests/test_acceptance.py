@@ -25,6 +25,7 @@ from causalid import (
     is_hedge,
     observed_joint,
     random_scm,
+    render_text,
     verify,
 )
 from conftest import FIXTURES
@@ -37,6 +38,43 @@ from helpers import (
 )
 
 TOL = 1e-9
+
+# Exact estimand texts, pinned next to the numeric checks so that a change to
+# the fixing order or to kernel synthesis shows up as a text diff.
+FRONT_DOOR_TEXT = (
+    "sum_{c,m} (sum_{a'} sum_{m'} sum_{y} p(a', c, m', y)) (((sum_{y} p(a, "
+    "c, m, y)) / ((sum_{m'} sum_{y} p(a, c, m', y)) / (sum_{a',m'} sum_{y} "
+    "p(a', c, m', y)))) / ((sum_{m'} (sum_{y} p(a, c, m', y)) / ((sum_{m} "
+    "sum_{y} p(a, c, m, y)) / (sum_{a',m} sum_{y} p(a', c, m, y)))) / "
+    "(sum_{c',m'} (sum_{y} p(a, c', m', y)) / ((sum_{m} sum_{y} p(a, c', m,"
+    " y)) / (sum_{a',m} sum_{y} p(a', c', m, y)))))) ((sum_{a'} (p(a', c, "
+    "m, Y)) / ((sum_{y} p(a', c, m, y)) / (sum_{m',y} p(a', c, m', y)))) / "
+    "((sum_{y} sum_{a'} (p(a', c, m, y)) / ((sum_{y'} p(a', c, m, y')) / "
+    "(sum_{m',y'} p(a', c, m', y')))) / (sum_{c',y} sum_{a'} (p(a', c', m, "
+    "y)) / ((sum_{y'} p(a', c', m, y')) / (sum_{m',y'} p(a', c', m', "
+    "y'))))))"
+)
+
+G_FORMULA_TEXT = (
+    "sum_{l} ((sum_{a2'} sum_{y} p(a1, a2', l, y)) / ((sum_{l'} sum_{a2'} "
+    "sum_{y} p(a1, a2', l', y)) / (sum_{a1',l'} sum_{a2'} sum_{y} p(a1', "
+    "a2', l', y)))) ((((p(a1, a2, l, Y)) / ((sum_{y} p(a1, a2, l, y)) / "
+    "(sum_{a2',y} p(a1, a2', l, y)))) / ((sum_{y} (p(a1, a2, l, y)) / "
+    "((sum_{y'} p(a1, a2, l, y')) / (sum_{a2',y'} p(a1, a2', l, y')))) / "
+    "(sum_{l',y} (p(a1, a2, l', y)) / ((sum_{y'} p(a1, a2, l', y')) / "
+    "(sum_{a2',y'} p(a1, a2', l', y')))))) / ((sum_{y} ((p(a1, a2, l, y)) /"
+    " ((sum_{y'} p(a1, a2, l, y')) / (sum_{a2',y'} p(a1, a2', l, y')))) / "
+    "((sum_{y'} (p(a1, a2, l, y')) / ((sum_{y} p(a1, a2, l, y)) / "
+    "(sum_{a2',y} p(a1, a2', l, y)))) / (sum_{l',y'} (p(a1, a2, l', y')) / "
+    "((sum_{y} p(a1, a2, l', y)) / (sum_{a2',y} p(a1, a2', l', y)))))) / "
+    "(sum_{a1',y} ((p(a1', a2, l, y)) / ((sum_{y'} p(a1', a2, l, y')) / "
+    "(sum_{a2',y'} p(a1', a2', l, y')))) / ((sum_{y'} (p(a1', a2, l, y')) /"
+    " ((sum_{y} p(a1', a2, l, y)) / (sum_{a2',y} p(a1', a2', l, y)))) / "
+    "(sum_{l',y'} (p(a1', a2, l', y')) / ((sum_{y} p(a1', a2, l', y)) / "
+    "(sum_{a2',y} p(a1', a2', l', y))))))))"
+)
+
+P_A1_TEXT = "sum_{l} sum_{a2} sum_{y} p(A1, a2, l, y)"
 
 
 @pytest.fixture
@@ -88,6 +126,7 @@ def test_01_front_door_reproduction(fig1d, verdict):
         elapsed = time.monotonic() - start
         assert max_dev < TOL, max_dev
         assert elapsed < 5.0, elapsed
+        assert render_text(res.estimand) == FRONT_DOOR_TEXT
 
 
 def test_02_per_district_derivations(fig1d, verdict):
@@ -171,6 +210,10 @@ def test_04_g_formula_fixture(fig1a, verdict):
                 got = ev.evaluate(res.estimand, {"a1": a1, "a2": a2, "Y": y})
                 max_dev = max(max_dev, abs(got - want))
         assert max_dev < TOL, max_dev
+        assert render_text(res.estimand) == G_FORMULA_TEXT
+        # with nothing to intervene on, p(A1) is a plain marginal of the joint
+        marginal = identify(fig1a, Query(outcomes=("A1",)))
+        assert render_text(marginal.estimand) == P_A1_TEXT
 
 
 def test_05_soundness_sweep(verdict):

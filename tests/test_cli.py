@@ -185,6 +185,14 @@ def test_verify_bad_number_is_usage_error(capsys, monkeypatch, flag, value, mess
     assert message in err
 
 
+def test_verify_oversized_joint_is_input_error(capsys):
+    # 40**6 cells over fig1b's six vertices would take 30.5 GiB
+    code, out, err = run(capsys, "verify", fixture("fig1b"), "--outcome", "Y",
+                         "--treatment", "A1", "--trials", "1", "--cards", "40")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the joint over all 6 vertices has 4096000000 cells")
+
+
 def test_verify_not_identified(capsys):
     code, out, err = run(capsys, "verify", fixture("fig1b"),
                          "--treatment", "A2", "--outcome", "Y", "--trials", "3")

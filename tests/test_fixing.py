@@ -18,7 +18,7 @@ from causalid import (
     is_intrinsic,
     reachable_closure,
 )
-from helpers import exhaustive_valid_orderings, random_admg
+from helpers import chain, exhaustive_valid_orderings, random_admg, random_hidden_dag
 
 
 # ----------------------------------------------------------------- fixability
@@ -82,6 +82,12 @@ def test_find_valid_sequence_stuck(fig1c):
     res = find_valid_sequence(fig1c, {"A1", "A2"})
     assert isinstance(res, NotReachable)
     assert res.residual == ("A2",)
+
+
+def test_find_valid_sequence_fixes_sinks_first():
+    g = chain(10)
+    seq = find_valid_sequence(g, [f"V{i}" for i in range(9)])
+    assert seq.steps == tuple(f"V{i}" for i in range(8, -1, -1))
 
 
 def test_find_valid_sequence_empty(fig1c):
@@ -191,3 +197,33 @@ def test_closure_operator_laws(seed):
     assert reachable_closure(g, cl) == cl  # idempotent
     t = s | {rng.choice(names)}
     assert cl <= reachable_closure(g, t) | t  # monotone up to the added seed
+
+
+def assert_same_as_validated(h):
+    rebuilt = MixedGraph.from_dict(h.to_dict())
+    assert h == rebuilt and hash(h) == hash(rebuilt)
+    assert all(h.children({v}) == rebuilt.children({v}) for v in h.vertices)
+    assert all(h.parents({v}) == rebuilt.parents({v}) for v in h.vertices)
+    assert h.districts() == rebuilt.districts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_derived_graphs_equal_validated_ones(seed):
+    # fix and induced_subgraph skip validation; what they build must be the
+    # graph the validating constructor builds from the same fields
+    rng = pyrandom.Random(seed)
+    g = random_admg(rng, rng.randint(1, 7))
+    for r in g.random:
+        if is_fixable(g, r):
+            h = fix(g, r)
+            assert_same_as_validated(h)
+            for r2 in h.random:
+                if is_fixable(h, r2):
+                    assert_same_as_validated(fix(h, r2))
+    for k in range(len(g.random) + 1):
+        assert_same_as_validated(g.induced_subgraph(rng.sample(list(g.random), k)))
+    hidden_dag = random_hidden_dag(rng, rng.randint(1, 4), rng.randint(1, 3))
+    names = list(hidden_dag.random)
+    subset = rng.sample(names, rng.randint(0, len(names)))
+    assert_same_as_validated(hidden_dag.induced_subgraph(subset))

@@ -29,7 +29,7 @@ from causalid import (
 )
 from causalid.identify import CForest
 from conftest import load_fig
-from helpers import random_admg, random_positive_joint, random_query_sets
+from helpers import chain, random_admg, random_positive_joint, random_query_sets, tree_nodes
 
 
 def joint_for(g, seed=0, card=2):
@@ -398,3 +398,13 @@ def test_failure_characterizations_agree_and_match_identify():
         else:
             saw_ok += 1
     assert saw_fail > 10 and saw_ok > 10
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_chain_estimand_stays_polynomial(n):
+    # fixing upstream vertices first wraps the kernel in a quotient that
+    # refers to it three times per step, so the tree grows as 3**n; the bound
+    # is on tree nodes because shared subtrees keep the DAG small either way
+    res = identify(chain(n), Query(outcomes=(f"V{n - 1}",), treatments=("V0",)))
+    assert isinstance(res, Identified)
+    assert tree_nodes(res.estimand) <= 3 * n * n

@@ -19,7 +19,7 @@ from causalid import (
     random_scm,
     verify,
 )
-from causalid.oracle import POSITIVITY_FLOOR, DiscreteScm
+from causalid.oracle import MAX_JOINT_CELLS, POSITIVITY_FLOOR, DiscreteScm
 from helpers import random_hidden_dag
 
 
@@ -69,6 +69,20 @@ def test_scm_validation():
     admg = MixedGraph(random=["A", "B"], bidirected=[("A", "B")])
     with pytest.raises(GraphError, match="DAG"):
         DiscreteScm(graph=admg, cards=good.cards, cpts=good.cpts)
+
+
+def test_joint_size_guard():
+    # 2**24 cells is the limit: 24 binary vertices pass, 25 are refused before
+    # the joint is allocated; isolated vertices keep every CPT tiny
+    assert MAX_JOINT_CELLS == 2**24
+    at_limit = MixedGraph(random=[f"V{i}" for i in range(24)])
+    random_scm(at_limit, binary_cards(at_limit), seed=0)
+    over = MixedGraph(random=[f"V{i}" for i in range(25)])
+    with pytest.raises(GraphError, match="33554432 cells, above the oracle's limit"):
+        random_scm(over, binary_cards(over), seed=0)
+    cpts = {v: np.array([0.5, 0.5]) for v in over.random}
+    with pytest.raises(GraphError, match="above the oracle's limit"):
+        DiscreteScm(graph=over, cards=binary_cards(over), cpts=cpts)
 
 
 # --------------------------------------------------------------------- joints
