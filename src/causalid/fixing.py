@@ -17,13 +17,22 @@ from .graph import MixedGraph
 
 @dataclass(frozen=True)
 class FixingSequence:
-    """An ordered, replayable sequence of fixed vertices."""
+    """An ordered, replayable sequence of fixed vertices.
+
+    ``descendants[i]`` is the descendant set of ``steps[i]`` in the CADMG
+    where it was fixed: ``{steps[i]}`` when fixing it is a plain
+    marginalization, larger when it is a division. A sequence built by hand
+    may leave it empty.
+    """
 
     steps: Tuple[str, ...]
+    descendants: Tuple[FrozenSet[str], ...] = ()
 
     def __post_init__(self):
         if len(set(self.steps)) != len(self.steps):
             raise GraphError(f"fixing sequence has repeated steps: {list(self.steps)}")
+        if self.descendants and len(self.descendants) != len(self.steps):
+            raise GraphError("fixing sequence needs one descendant set per step")
 
     def __iter__(self):
         return iter(self.steps)
@@ -53,6 +62,11 @@ def fix(g: MixedGraph, r: str) -> MixedGraph:
     """Move ``r`` to the fixed set, dropping every edge with an arrowhead at it."""
     if not is_fixable(g, r):
         raise NotFixableError(f"{r!r} is not fixable")
+    return _fix(g, r)
+
+
+def _fix(g: MixedGraph, r: str) -> MixedGraph:
+    """``fix`` without the fixability check, for a caller that has just made it."""
     return MixedGraph._derived(
         random=tuple(v for v in g.random if v != r),
         fixed=tuple(sorted(g.fixed + (r,))),
@@ -83,7 +97,9 @@ def find_valid_sequence(
     ``g``, name), which is a reverse topological order. Each step fixes the
     first remaining target in that order that is fixable. Every valid order
     reaches the same kernel, and fixing a vertex with no descendants left
-    is a plain marginalization, so this order keeps kernels small.
+    is a plain marginalization, so this order keeps kernels small. Each
+    step records its vertex's descendants where it was fixed, which is all
+    kernel synthesis needs of the CADMGs along the way.
     """
     remaining = set(targets)
     unknown = remaining - set(g.random)
@@ -91,17 +107,18 @@ def find_valid_sequence(
         raise UnknownVertexError(sorted(unknown)[0])
     order = sorted(remaining, key=lambda v: (len(g.descendants({v})), v))
     cur = g
-    steps = []
+    steps, descendants = [], []
     while order:
         for i, r in enumerate(order):
             if is_fixable(cur, r):
-                cur = fix(cur, r)
                 steps.append(r)
+                descendants.append(cur.descendants({r}))
+                cur = _fix(cur, r)
                 del order[i]
                 break
         else:
             return NotReachable(residual=tuple(sorted(order)))
-    return FixingSequence(steps=tuple(steps))
+    return FixingSequence(steps=tuple(steps), descendants=tuple(descendants))
 
 
 def reachable_closure(g: MixedGraph, s: Iterable[str]) -> FrozenSet[str]:

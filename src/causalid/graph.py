@@ -21,7 +21,7 @@ from .errors import CycleError, GraphError, QueryError, UnknownVertexError
 
 _RESERVED_CHARS = set("|,;")
 
-_GRAPH_JSON_KEYS = {"vertices", "hidden", "fixed", "directed", "bidirected"}
+_GRAPH_JSON_KEYS = ("vertices", "hidden", "fixed", "directed", "bidirected")
 
 
 def _check_name(name) -> str:
@@ -32,6 +32,17 @@ def _check_name(name) -> str:
             f"vertex name {name!r} contains whitespace or a reserved character (| , ;)"
         )
     return name
+
+
+# a directed edge is ordered; a bidirected one may also be given as a set
+_EDGE_TYPES = {"directed": (tuple, list), "bidirected": (tuple, list, set, frozenset)}
+
+
+def _edge(e, kind: str) -> Tuple[str, str]:
+    if not isinstance(e, _EDGE_TYPES[kind]) or len(e) != 2:
+        raise GraphError(f"{kind} edge must be a pair of vertex names, got {e!r}")
+    u, v = e
+    return _check_name(u), _check_name(v)
 
 
 class MixedGraph:
@@ -61,8 +72,8 @@ class MixedGraph:
             tuple(sorted({_check_name(v) for v in random})),
             tuple(sorted({_check_name(v) for v in fixed})),
             frozenset(_check_name(v) for v in hidden),
-            frozenset((t, h) for t, h in directed),
-            frozenset(frozenset(e) for e in bidirected),
+            frozenset(_edge(e, "directed") for e in directed),
+            frozenset(frozenset(_edge(e, "bidirected")) for e in bidirected),
         )
         self._validate()
         self._index()
@@ -132,7 +143,6 @@ class MixedGraph:
             raise GraphError(f"hidden vertices must be random: {sorted(hid - rnd)}")
         allv = rnd | fxd
         for t, h in self.directed:
-            _check_name(t), _check_name(h)
             if t not in allv or h not in allv:
                 raise UnknownVertexError(t if t not in allv else h)
             if t == h:
@@ -141,7 +151,6 @@ class MixedGraph:
             if len(e) != 2:
                 raise GraphError(f"bidirected self-loop or malformed edge: {sorted(e)}")
             for v in e:
-                _check_name(v)
                 if v not in allv:
                     raise UnknownVertexError(v)
         for t, h in self.directed:
@@ -331,25 +340,28 @@ class MixedGraph:
     def from_dict(cls, data: dict) -> "MixedGraph":
         if not isinstance(data, dict):
             raise GraphError("graph JSON must be an object")
-        unknown = set(data) - _GRAPH_JSON_KEYS
+        unknown = set(data) - set(_GRAPH_JSON_KEYS)
         if unknown:
             raise GraphError(f"unknown keys in graph JSON: {sorted(unknown)}")
         for key in ("vertices", "directed", "bidirected"):
             if key not in data:
                 raise GraphError(f"graph JSON missing required key {key!r}")
-        vertices = list(data["vertices"])
-        hidden = list(data.get("hidden", []))
-        fixed = list(data.get("fixed", []))
-        fixed_set = set(fixed)
-        for v in fixed:
-            if v not in vertices:
+        fields = {key: data.get(key, []) for key in _GRAPH_JSON_KEYS}
+        for key, value in fields.items():
+            item = list if key in ("directed", "bidirected") else str
+            if not isinstance(value, list) or not all(isinstance(x, item) for x in value):
+                what = "edges, each an array of two vertex names" if item is list else "vertex names"
+                raise GraphError(f"graph JSON {key!r} must be an array of {what}")
+        fixed = set(fields["fixed"])
+        for v in fields["fixed"]:
+            if v not in fields["vertices"]:
                 raise UnknownVertexError(v)
         return cls(
-            random=[v for v in vertices if v not in fixed_set],
-            fixed=fixed,
-            hidden=hidden,
-            directed=[tuple(e) for e in data["directed"]],
-            bidirected=[tuple(e) for e in data["bidirected"]],
+            random=[v for v in fields["vertices"] if v not in fixed],
+            fixed=fields["fixed"],
+            hidden=fields["hidden"],
+            directed=fields["directed"],
+            bidirected=fields["bidirected"],
         )
 
     @classmethod

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import estimand as ex
 from .errors import GraphError, QueryError
-from .fixing import NotReachable, find_valid_sequence, fix, is_intrinsic, reachable_closure
+from .fixing import NotReachable, find_valid_sequence, is_intrinsic, reachable_closure
 from .graph import MixedGraph
 
 
@@ -122,9 +122,7 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
     if isinstance(res, NotReachable):
         return res
     kernel: ex.Expr = ex.Factor(outcomes=tuple(ex.Slot(v, ex.Var(v)) for v in g.random))
-    cur = g
-    for j in res.steps:
-        desc = cur.descendants({j})
+    for j, desc in zip(res.steps, res.descendants):
         marginal = _marginalize(kernel, desc)
         if desc == {j}:  # j is childless: fixing it is a plain marginal
             kernel = marginal
@@ -133,7 +131,6 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
             # taken within the running kernel as a quotient of its marginals
             conditional = ex.Quotient(_marginalize(kernel, desc - {j}), marginal)
             kernel = ex.Quotient(numerator=kernel, denominator=conditional)
-        cur = fix(cur, j)
     return kernel
 
 

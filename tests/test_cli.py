@@ -118,6 +118,17 @@ def test_districts(capsys):
     assert json.loads(out) == {"districts": [["A1"], ["A2", "W", "Y"]]}
 
 
+def test_malformed_graph_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    for fields in ({"directed": [["A", "B", "C"]]}, {"directed": [5]}, {"bidirected": [7]},
+                   {"directed": ["AB"]}, {"bidirected": ["AB"]}, {"vertices": "AB"}):
+        path.write_text(json.dumps({"vertices": ["A", "B", "C"], "directed": [],
+                                    "bidirected": [], **fields}))
+        code, out, err = run(capsys, "districts", str(path))
+        assert (code, out) == (2, ""), fields
+        assert err.startswith("error: "), fields
+
+
 def test_fix_outputs_cadmg(capsys):
     code, out, err = run(capsys, "fix", fixture("fig1c"), "--sequence", "A1,W,A2")
     assert code == 0

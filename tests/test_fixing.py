@@ -179,6 +179,8 @@ def test_greedy_search_is_complete():
         if orders:
             assert isinstance(res, FixingSequence)
             assert tuple(res) in orders
+            for i, r in enumerate(res.steps):
+                assert res.descendants[i] == fix_all(g, res.steps[:i]).descendants({r})
             hits += 1
         else:
             assert isinstance(res, NotReachable)

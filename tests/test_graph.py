@@ -268,6 +268,34 @@ def test_json_rejects_unknown_keys():
         MixedGraph.from_json('{"vertices": ["A"], "directed": [], "bidirected": [], "bogus": 1}')
 
 
+MALFORMED_GRAPH_FIELDS = {
+    "directed-triple": {"directed": [["A", "B", "C"]]},
+    "directed-number": {"directed": [5]},
+    "bidirected-number": {"bidirected": [7]},
+    "directed-string": {"directed": ["AB"]},
+    "bidirected-string": {"bidirected": ["AB"]},
+    "vertices-string": {"vertices": "AB"},
+    "hidden-object": {"hidden": {"A": 1}},
+    "fixed-nested": {"fixed": [["A"]]},
+    "edge-nested-name": {"directed": [["A", ["B"]]]},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_GRAPH_FIELDS.values(), ids=MALFORMED_GRAPH_FIELDS)
+def test_json_rejects_malformed_fields(fields):
+    # each would otherwise end in a TypeError or ValueError, or be split
+    # into one-character names
+    data = {"vertices": ["A", "B", "C"], "directed": [], "bidirected": [], **fields}
+    with pytest.raises(GraphError):
+        MixedGraph.from_dict(data)
+
+
+@pytest.mark.parametrize("edge", [("A", "B", "C"), ("A",), 5, "AB", {"A", "B"}])
+def test_directed_edge_must_be_a_pair(edge):
+    with pytest.raises(GraphError, match="directed edge must be a pair"):
+        MixedGraph(random=["A", "B", "C"], directed=[edge])
+
+
 def test_json_requires_mandatory_keys():
     with pytest.raises(GraphError):
         MixedGraph.from_json('{"vertices": ["A"]}')

@@ -190,22 +190,30 @@ def test_find_hedge_rejects_set_equal_to_its_closure(fig, treatment, vertices):
 
 
 @pytest.fixture
-def searches(monkeypatch):
-    """Records every greedy fixing search the engine starts."""
-    calls = []
-    real = causalid.fixing.find_valid_sequence
+def count_calls(monkeypatch):
+    """``count_calls(fn)`` replaces ``fn`` in every ``causalid`` module that
+    binds it, so the engine's calls through module globals go through the
+    wrapper, and returns the list that each call appends its arguments to."""
 
-    def counted(g, targets):
-        calls.append(set(targets))
-        return real(g, targets)
+    def install(fn):
+        calls = []
 
-    # the package attribute ``causalid.identify`` is the function, not the module
-    for module in (causalid.fixing, sys.modules["causalid.identify"]):
-        monkeypatch.setattr(module, "find_valid_sequence", counted)
-    return calls
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        # the package attribute ``causalid.identify`` is the function, not
+        # the module, so modules are looked up by name
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "causalid" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+        return calls
+
+    return install
 
 
-def test_one_fixing_search_per_district(fig1c, searches):
+def test_one_fixing_search_per_district(fig1c, count_calls):
+    searches = count_calls(causalid.fixing.find_valid_sequence)
     q = Query(outcomes=("Y",), treatments=("A2",))
     res = identify(fig1c, q)  # districts {A1} and the failing {W, Y}
     assert isinstance(res, NotIdentified)
@@ -216,6 +224,18 @@ def test_one_fixing_search_per_district(fig1c, searches):
     searches.clear()
     failure_characterizations(fig1c, q)  # a closure and an intrinsic test each
     assert len(searches) == 4
+
+
+def test_each_fixing_step_is_probed_once(count_calls):
+    # on a chain the first target tried is always fixable, so every probe is
+    # a step: nothing re-tests a vertex the search has just found fixable
+    probes = count_calls(causalid.fixing.is_fixable)
+    g = chain(10)
+    identify_district(g, ("V9",))
+    assert len(probes) == 9
+    probes.clear()
+    identify(g, Query(outcomes=("V9",), treatments=("V0",)))  # 9 districts of 9 steps
+    assert len(probes) == 81
 
 
 def test_hedge_violation_reason_codes(fig1c):
