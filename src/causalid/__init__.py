@@ -49,7 +49,6 @@ from .fixing import (
 )
 from .graph import MixedGraph
 from .identify import (
-    CForest,
     FailureReport,
     HedgeWitness,
     Identified,
@@ -91,7 +90,6 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
-    "CForest",
     "Const",
     "CycleError",
     "DiscreteScm",

@@ -86,9 +86,9 @@ def cmd_identify(args) -> int:
             "hedge witness {i} inside {o} with roots {r}".format(
                 d=",".join(result.failing_district),
                 c=",".join(result.closure),
-                i="{" + ",".join(result.witness.inner.vertices) + "}",
-                o="{" + ",".join(result.witness.outer.vertices) + "}",
-                r="{" + ",".join(result.witness.inner.roots) + "}",
+                i="{" + ",".join(result.witness.inner) + "}",
+                o="{" + ",".join(result.witness.outer) + "}",
+                r="{" + ",".join(result.witness.roots) + "}",
             ),
             file=sys.stderr,
         )

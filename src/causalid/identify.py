@@ -11,7 +11,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import estimand as ex
@@ -28,18 +28,10 @@ class Query:
 
     outcomes: Tuple[str, ...]
     treatments: Tuple[str, ...] = ()
-    treatment_values: Mapping[str, str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", tuple(sorted(set(self.outcomes))))
         object.__setattr__(self, "treatments", tuple(sorted(set(self.treatments))))
-        values = dict(self.treatment_values or {})
-        for a in self.treatments:
-            values.setdefault(a, a.lower())
-        extra = set(values) - set(self.treatments)
-        if extra:
-            raise QueryError(f"treatment values for non-treatments: {sorted(extra)}")
-        object.__setattr__(self, "treatment_values", values)
 
     def validate(self, g: MixedGraph) -> None:
         if not self.outcomes:
@@ -66,35 +58,22 @@ def _require_admg(g: MixedGraph) -> None:
 class Decomposition:
     ystar: Tuple[str, ...]
     districts: Tuple[Tuple[str, ...], ...]
-    contexts: Mapping[Tuple[str, ...], Tuple[Tuple[str, ex.Ref], ...]]
+    contexts: Mapping[Tuple[str, ...], Tuple[str, ...]]
 
 
 def decompose(g: MixedGraph, query: Query) -> Decomposition:
     """Split the query into districts of the relevant ancestral subgraph.
 
-    Each district's context is its parent set outside the district, bound
-    either to a treatment value or to the matching outer index variable.
+    Each district's context is its sorted parent set outside the district.
+    Every context vertex is a treatment or in the relevant ancestral set: a
+    parent that is not a treatment reaches the outcome through the district
+    while avoiding the treatments.
     """
     _require_admg(g)
     query.validate(g)
     ystar = tuple(sorted(g.ancestral_avoiding(query.outcomes, query.treatments)))
-    sub = g.induced_subgraph(ystar)
-    districts = tuple(sub.districts())
-    treatments = set(query.treatments)
-    contexts: Dict[Tuple[str, ...], Tuple[Tuple[str, ex.Ref], ...]] = {}
-    for d in districts:
-        ctx: List[Tuple[str, ex.Ref]] = []
-        for p in sorted(g.parents(d)):
-            if p in treatments:
-                ctx.append((p, ex.Var(query.treatment_values[p])))
-            elif p in set(ystar):
-                ctx.append((p, ex.Var(p)))
-            else:
-                raise GraphError(
-                    f"internal error: context vertex {p!r} of district {list(d)} "
-                    "is neither a treatment nor in the relevant ancestral set"
-                )
-        contexts[d] = tuple(ctx)
+    districts = tuple(g.induced_subgraph(ystar).districts())
+    contexts = {d: tuple(sorted(g.parents(d))) for d in districts}
     return Decomposition(ystar=ystar, districts=districts, contexts=contexts)
 
 
@@ -137,53 +116,25 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
 # --------------------------------------------------------------- hedge checks
 
 @dataclass(frozen=True)
-class CForest:
-    """A bidirected-connected set with a chosen in-forest toward its roots."""
-
-    vertices: Tuple[str, ...]
-    roots: Tuple[str, ...]
-    witness_edges: Tuple[Tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class HedgeWitness:
-    inner: CForest
-    outer: CForest
+    """A hedge as sorted vertex names: the inner C-forest, the outer C-forest
+    that strictly contains it, and the roots they share."""
+
+    inner: Tuple[str, ...]
+    outer: Tuple[str, ...]
+    roots: Tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "inner": list(self.inner.vertices),
-            "outer": list(self.outer.vertices),
-            "roots": list(self.inner.roots),
-        }
-
-
-def _spanning_in_forest(g: MixedGraph, vertices, roots) -> Tuple[Tuple[str, str], ...]:
-    """Each non-root keeps one edge to its least child that still reaches a root."""
-    vs = set(vertices)
-    sub = g.induced_subgraph(vs)
-    reach = sub.ancestors(roots)
-    edges = []
-    for v in sorted(vs - set(roots)):
-        if v not in reach:
-            continue  # cannot reach a root; the candidate will fail validation
-        child = min(c for c in sub.children({v}) if c in reach)
-        edges.append((v, child))
-    return tuple(edges)
+        return {"inner": list(self.inner), "outer": list(self.outer), "roots": list(self.roots)}
 
 
 def _hedge(g: MixedGraph, d, closure) -> HedgeWitness:
     """The district ``d`` nested inside its reachable ``closure``, rooted at
     the district's childless vertices."""
     d = tuple(sorted(d))
-    closure = tuple(sorted(closure))
     sub_d = g.induced_subgraph(d)
     roots = tuple(v for v in d if not sub_d.children({v}))
-    inner = CForest(vertices=d, roots=roots, witness_edges=_spanning_in_forest(g, d, roots))
-    outer = CForest(
-        vertices=closure, roots=roots, witness_edges=_spanning_in_forest(g, closure, roots)
-    )
-    return HedgeWitness(inner=inner, outer=outer)
+    return HedgeWitness(inner=d, outer=tuple(sorted(closure)), roots=roots)
 
 
 def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
@@ -199,25 +150,18 @@ def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
 
 def hedge_violation(g: MixedGraph, query: Query, witness: HedgeWitness) -> Optional[str]:
     """Reason code for a failed hedge check, or None if the witness is valid."""
-    inner, outer = witness.inner, witness.outer
-    f_in, f_out = set(inner.vertices), set(outer.vertices)
-    roots = set(inner.roots)
-    known = set(g.random)
-    if set(outer.roots) != roots:
-        return "roots-differ-between-forests"
-    if not (f_in | f_out) <= known:
+    f_in, f_out, roots = set(witness.inner), set(witness.outer), set(witness.roots)
+    if not (f_in | f_out) <= set(g.random):
         return "vertices-outside-graph"
     if not roots or not roots <= f_in:
         return "roots-not-inside-inner-forest"
-    for name, forest in (("inner", inner), ("outer", outer)):
-        vs = set(forest.vertices)
-        if len(g.induced_subgraph(vs).districts()) != 1:
+    for name, vs in (("inner", f_in), ("outer", f_out)):
+        sub = g.induced_subgraph(vs)
+        if len(sub.districts()) != 1:
             return f"{name}-not-bidirected-connected"
-        edge_set = set(forest.witness_edges)
-        if not edge_set <= {(t, h) for t, h in g.directed if t in vs and h in vs}:
-            return f"{name}-witness-edges-not-in-graph"
-        # every vertex must reach a root using only witness edges
-        if not vs <= MixedGraph(random=vs, directed=edge_set).ancestors(roots & vs):
+        # a spanning in-forest toward the roots exists exactly when every
+        # vertex reaches a root inside the forest
+        if not vs <= sub.ancestors(roots & vs):
             return f"{name}-not-rooted"
     if not f_in < f_out:
         return "inner-forest-not-strictly-inside-outer"
@@ -243,8 +187,8 @@ class Identified:
     graph: MixedGraph
     query: Query
     estimand: ex.Expr
-    districts: Tuple[Tuple[Tuple[str, ...], ex.Expr, Tuple[Tuple[str, ex.Ref], ...]], ...]
-    treatment_labels: Mapping[str, str] = field(default_factory=dict)
+    districts: Tuple[Tuple[Tuple[str, ...], ex.Expr, Tuple[str, ...]], ...]
+    treatment_labels: Mapping[str, str]
 
     @property
     def identified(self) -> bool:
@@ -258,7 +202,7 @@ class Identified:
                 {
                     "district": list(d),
                     "kernel": ex._node_to_dict(kernel),
-                    "context": [v for v, _ in ctx],
+                    "context": list(ctx),
                 }
                 for d, kernel, ctx in self.districts
             ],
@@ -278,12 +222,12 @@ class NotIdentified:
 
     @property
     def failing_district(self) -> Tuple[str, ...]:
-        return self.witness.inner.vertices
+        return self.witness.inner
 
     @property
     def closure(self) -> Tuple[str, ...]:
         """The reachable closure of ``failing_district``."""
-        return self.witness.outer.vertices
+        return self.witness.outer
 
     def to_dict(self) -> dict:
         return {
@@ -299,10 +243,12 @@ IdentificationResult = Union[Identified, NotIdentified]
 
 
 def _treatment_labels(query: Query, taken) -> Dict[str, str]:
+    """Each treatment's value is named by its lower-cased name, primed until
+    it names no vertex of the relevant ancestral set and no earlier label."""
     taken = set(taken)
     labels = {}
     for a in query.treatments:
-        label = query.treatment_values[a]
+        label = a.lower()
         while label in taken:
             label += "'"
         taken.add(label)

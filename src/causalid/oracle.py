@@ -193,14 +193,14 @@ def verify(
     every joint assignment of outcomes and treatment values."""
     if not isinstance(result, Identified) or not result.identified:
         raise GraphError("verification requires an identified result")
+    if query != result.query:
+        raise GraphError(f"the result answers {result.query}, not {query}")
     projection = scm.graph.latent_project() if scm.graph.hidden else scm.graph
     if projection != result.graph:
         raise GraphError("the SCM's latent projection differs from the identified graph")
     joint = observed_joint(scm)
     evaluator = Evaluator(joint)
-    labels = dict(result.treatment_labels)
-    for a in query.treatments:
-        labels.setdefault(a, query.treatment_values[a])
+    labels = result.treatment_labels
     y_list = list(query.outcomes)
     a_list = list(query.treatments)
     max_dev = 0.0

@@ -146,6 +146,29 @@ def brute_districts(g: MixedGraph):
     return sorted(blocks)
 
 
+def brute_rooted_forest(g: MixedGraph, vertices, roots):
+    """Whether G[vertices] has a spanning in-forest toward ``roots``: try every
+    choice of one child inside the set for each non-root, and accept a choice
+    under which following the chosen children from every vertex reaches a
+    root."""
+    vs, roots = set(vertices), set(roots)
+    non_roots = sorted(vs - roots)
+    options = [sorted(h for t, h in g.directed if t == v and h in vs) for v in non_roots]
+    for choice in itertools.product(*options):
+        pointer = dict(zip(non_roots, choice))
+
+        def reaches_root(v):
+            for _ in range(len(vs)):
+                if v in roots:
+                    return True
+                v = pointer[v]
+            return v in roots
+
+        if all(reaches_root(v) for v in vs):
+            return True
+    return False
+
+
 def exhaustive_valid_orderings(g: MixedGraph, targets):
     """Every permutation of targets that replays as a valid fixing sequence."""
     from causalid import NotFixableError, fix_all

@@ -180,12 +180,12 @@ def test_03_counterexample_fixture(fig1b, fig1c, verdict):
 
         sub = identify(fig1c, Query(outcomes=("Y",), treatments=("A2",)))
         assert isinstance(sub, NotIdentified)
-        assert sub.witness.inner.vertices == ("W", "Y")
-        assert sub.witness.outer.vertices == ("A2", "W", "Y")
+        assert sub.witness.inner == ("W", "Y")
+        assert sub.witness.outer == ("A2", "W", "Y")
         # roots are the childless vertices of the failing district; W has no
         # child inside {W, Y}, so both vertices are roots (see the decisions
         # ledger for the deliberate deviation on this pin)
-        assert sub.witness.inner.roots == ("W", "Y")
+        assert sub.witness.roots == ("W", "Y")
         assert is_hedge(fig1c, sub.query, sub.witness)
         # the refutation pin: the same district is harmless under the larger
         # treatment set, so no monotonicity of non-identifiability holds

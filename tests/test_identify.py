@@ -14,7 +14,6 @@ from causalid import (
     NotReachable,
     Query,
     QueryError,
-    Var,
     decompose,
     failure_characterizations,
     find_hedge,
@@ -27,9 +26,15 @@ from causalid import (
     simplify,
     well_formed,
 )
-from causalid.identify import CForest
 from conftest import load_fig
-from helpers import chain, random_admg, random_positive_joint, random_query_sets, tree_nodes
+from helpers import (
+    brute_rooted_forest,
+    chain,
+    random_admg,
+    random_positive_joint,
+    random_query_sets,
+    tree_nodes,
+)
 
 
 def joint_for(g, seed=0, card=2):
@@ -41,15 +46,12 @@ def joint_for(g, seed=0, card=2):
 
 def test_query_normalizes_and_validates(fig1d):
     q = Query(outcomes=("Y",), treatments=("A",))
-    assert q.treatment_values == {"A": "a"}
     q.validate(fig1d)
     with pytest.raises(QueryError):
         Query(outcomes=("Y",), treatments=()).validate(
             fig1d.induced_subgraph({"A", "C", "M"}))
     with pytest.raises(QueryError):
         Query(outcomes=("Y",), treatments=("Y",)).validate(fig1d)
-    with pytest.raises(QueryError):
-        Query(outcomes=("Y",), treatment_values={"A": "a"})
 
 
 def test_identify_requires_projection(fig1b):
@@ -68,15 +70,15 @@ def test_decompose_fig1d():
     assert dec.ystar == ("C", "M", "Y")
     assert dec.districts == (("C",), ("M",), ("Y",))
     assert dec.contexts[("C",)] == ()
-    assert dec.contexts[("M",)] == (("A", Var("a")), ("C", Var("C")))
-    assert dec.contexts[("Y",)] == (("C", Var("C")), ("M", Var("M")))
+    assert dec.contexts[("M",)] == ("A", "C")
+    assert dec.contexts[("Y",)] == ("C", "M")
 
 
 def test_decompose_fig1c_full(fig1c):
     dec = decompose(fig1c, Query(outcomes=("Y",), treatments=("A1", "A2")))
     assert dec.ystar == ("Y",)
     assert dec.districts == (("Y",),)
-    assert dec.contexts[("Y",)] == (("A1", Var("a1")), ("A2", Var("a2")))
+    assert dec.contexts[("Y",)] == ("A1", "A2")
 
 
 def test_decompose_fig1c_sub(fig1c):
@@ -158,10 +160,7 @@ def test_kernels_come_out_in_final_form():
 def test_find_hedge_fig1c(fig1c):
     q = Query(outcomes=("Y",), treatments=("A2",))
     w = find_hedge(fig1c, q, ("W", "Y"))
-    assert w.inner.vertices == ("W", "Y")
-    assert w.outer.vertices == ("A2", "W", "Y")
-    assert w.inner.roots == ("W", "Y")
-    assert w.outer.witness_edges == (("A2", "Y"),)
+    assert w == HedgeWitness(inner=("W", "Y"), outer=("A2", "W", "Y"), roots=("W", "Y"))
     assert is_hedge(fig1c, q, w)
     assert hedge_violation(fig1c, q, w) is None
     assert w.to_dict() == {
@@ -239,38 +238,51 @@ def test_each_fixing_step_is_probed_once(count_calls):
 
 
 def test_hedge_violation_reason_codes(fig1c):
-    q = Query(outcomes=("Y",), treatments=("A2",))
-    w = find_hedge(fig1c, q, ("W", "Y"))
+    # fig1c: W -> A1 -> Y <- A2, with A2 <-> W <-> Y
+    hedge = (("W", "Y"), ("A2", "W", "Y"), ("W", "Y"))
+    cases = [
+        (hedge, ("A2",), None),
+        ((("W", "Y"), ("A2", "W", "Y", "Z"), ("W", "Y")), ("A2",), "vertices-outside-graph"),
+        ((("W", "Y"), ("A2", "W", "Y"), ()), ("A2",), "roots-not-inside-inner-forest"),
+        ((("W", "Y"), ("A2", "W", "Y"), ("A2",)), ("A2",), "roots-not-inside-inner-forest"),
+        ((("A2", "Y"), ("A2", "W", "Y"), ("Y",)), ("A2",), "inner-not-bidirected-connected"),
+        # W has no child inside {W, Y}, so it reaches no root but itself
+        ((("W", "Y"), ("A2", "W", "Y"), ("Y",)), ("A2",), "inner-not-rooted"),
+        ((("Y",), ("A1", "Y"), ("Y",)), ("A1",), "outer-not-bidirected-connected"),
+        ((("Y",), ("A2", "W", "Y"), ("Y",)), ("A2",), "outer-not-rooted"),
+        # the root Y lies outside the outer forest, and W reaches no other root
+        ((("W", "Y"), ("A2", "W"), ("W", "Y")), ("A2",), "outer-not-rooted"),
+        ((("W", "Y"), ("W", "Y"), ("W", "Y")), ("A2",), "inner-forest-not-strictly-inside-outer"),
+        (hedge, ("W",), "inner-forest-touches-treatments"),
+        (hedge, (), "no-treatment-between-forests"),
+        # under the fully-intervened query the roots no longer reach the
+        # outcome while avoiding every treatment
+        (hedge, ("A1", "A2"), "roots-lack-treatment-avoiding-path-to-outcome"),
+    ]
+    for (inner, outer, roots), treatments, code in cases:
+        q = Query(outcomes=("Y",), treatments=treatments)
+        w = HedgeWitness(inner=inner, outer=outer, roots=roots)
+        assert hedge_violation(fig1c, q, w) == code, (w, treatments)
 
-    same = HedgeWitness(inner=w.inner, outer=w.inner)
-    assert hedge_violation(fig1c, q, same) == "inner-forest-not-strictly-inside-outer"
 
-    no_roots = HedgeWitness(
-        inner=CForest(vertices=w.inner.vertices, roots=(), witness_edges=()),
-        outer=CForest(vertices=w.outer.vertices, roots=(), witness_edges=w.outer.witness_edges),
-    )
-    assert hedge_violation(fig1c, q, no_roots) == "roots-not-inside-inner-forest"
-
-    bad_edge = HedgeWitness(
-        inner=w.inner,
-        outer=CForest(vertices=w.outer.vertices, roots=w.outer.roots,
-                      witness_edges=(("Y", "A2"),)),
-    )
-    assert hedge_violation(fig1c, q, bad_edge) == "outer-witness-edges-not-in-graph"
-
-    unrooted = HedgeWitness(
-        inner=w.inner,
-        outer=CForest(vertices=w.outer.vertices, roots=w.outer.roots, witness_edges=()),
-    )
-    assert hedge_violation(fig1c, q, unrooted) == "outer-not-rooted"
-
-    # the same forests are not a hedge for the fully-intervened query: its
-    # roots no longer reach the outcome while avoiding every treatment
-    full = Query(outcomes=("Y",), treatments=("A1", "A2"))
-    assert hedge_violation(fig1c, full, w) == "roots-lack-treatment-avoiding-path-to-outcome"
-
-    no_treatment = Query(outcomes=("Y",), treatments=())
-    assert hedge_violation(fig1c, no_treatment, w) == "no-treatment-between-forests"
+def test_set_rootedness_equals_a_spanning_in_forest():
+    # with every pair of vertices bidirected-linked each vertex set is
+    # bidirected-connected, so the inner forest fails as "inner-not-rooted"
+    # exactly when no spanning in-forest toward the roots exists
+    rng = pyrandom.Random(5)
+    pairs = 0
+    for _ in range(150):
+        g = random_admg(rng, rng.randint(1, 5), p_dir=0.5, p_bid=1.0)
+        q = Query(outcomes=(g.random[0],))
+        for k in range(1, len(g.random) + 1):
+            for f in itertools.combinations(g.random, k):
+                for j in range(1, k + 1):
+                    for r in itertools.combinations(f, j):
+                        w = HedgeWitness(inner=f, outer=f, roots=r)
+                        rooted = hedge_violation(g, q, w) != "inner-not-rooted"
+                        assert rooted == brute_rooted_forest(g, f, r), (g, f, r)
+                        pairs += 1
+    assert pairs > 5000
 
 
 # ----------------------------------------------------------------- identify
@@ -373,6 +385,20 @@ def test_identify_treatment_label_freshening():
 
 def free_text_mentions(res, token):
     return token in render_text(res.estimand)
+
+
+def test_treatment_label_collision_keeps_context_names():
+    # the treatment A takes the label a', since the vertex a already names
+    # itself; each context entry is a vertex name, whatever its label
+    from causalid import MixedGraph
+
+    g = MixedGraph(random=["A", "a", "Y"], directed=[("A", "Y"), ("a", "Y")])
+    q = Query(outcomes=("Y",), treatments=("A",))
+    res = identify(g, q)
+    assert res.treatment_labels == {"A": "a'"}
+    assert decompose(g, q).contexts[("Y",)] == ("A", "a")
+    assert [(d, ctx) for d, _, ctx in res.districts] == [(("Y",), ("A", "a")), (("a",), ())]
+    assert res.to_dict()["districts"][0]["context"] == ["A", "a"]
 
 
 def test_identified_to_dict_shape(fig1d):

@@ -168,6 +168,14 @@ def test_verify_rejects_projection_mismatch(fig1a, fig1b):
         verify(scm, q, res)
 
 
+def test_verify_rejects_a_different_query(fig1b):
+    # the estimand of p(Y) must not be scored against the truth of p(Y | do(A1))
+    res = identify(fig1b.latent_project(), Query(outcomes=("Y",)))
+    scm = random_scm(fig1b, binary_cards(fig1b), seed=2)
+    with pytest.raises(GraphError, match=r"answers Query\(outcomes=\('Y',\), treatments=\(\)\)"):
+        verify(scm, Query(outcomes=("Y",), treatments=("A1",)), res)
+
+
 def test_verify_requires_identified_result(fig1b, fig1c):
     q = Query(outcomes=("Y",), treatments=("A2",))
     res = identify(fig1c, q)  # hedge; not identified
