@@ -180,11 +180,23 @@ def kind_name(e: Expr) -> str:
 
 
 def substitute(e: Expr, mapping: Mapping[str, Ref]) -> Expr:
-    """Replace free occurrences of variables; binders shadow as usual."""
+    """Replace free occurrences of variables; binders shadow as usual.
+
+    Shared subtrees stay shared: each mapping in the walk is the input's minus
+    some names, so the memo is keyed on ``(id(node), frozenset(mapping))``
+    and holds the node, as ``free_vars`` does."""
+    cache: Dict[Tuple[int, FrozenSet[str]], Tuple[Expr, Expr]] = {}
 
     def go(node, mapping):
         if not mapping:
             return node
+        key = (id(node), frozenset(mapping))
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = (node, go_raw(node, mapping))
+        return hit[1]
+
+    def go_raw(node, mapping):
         if isinstance(node, Factor):
             def sub_slot(s):
                 if isinstance(s.ref, Var) and s.ref.name in mapping:
@@ -484,13 +496,24 @@ def to_json(e: Expr) -> str:
     return json.dumps({"schema_version": SCHEMA_VERSION, "expr": _node_to_dict(e)}, indent=2)
 
 
+def _name(value, path: str, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ExpressionParseError(f"{path}: {what} must be a non-empty string")
+    return value
+
+
+def _list(d: dict, key: str, path: str) -> list:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ExpressionParseError(f"{path}: {key!r} must be a list")
+    return value
+
+
 def _ref_from_dict(d: dict, path: str) -> Ref:
     if "var" in d and "const" in d:
         raise ExpressionParseError(f"{path}: slot has both 'var' and 'const'")
     if "var" in d:
-        if not isinstance(d["var"], str) or not d["var"]:
-            raise ExpressionParseError(f"{path}: 'var' must be a non-empty string")
-        return Var(d["var"])
+        return Var(_name(d["var"], path, "'var'"))
     if "const" in d:
         if not isinstance(d["const"], int) or isinstance(d["const"], bool):
             raise ExpressionParseError(f"{path}: 'const' must be an integer")
@@ -501,7 +524,7 @@ def _ref_from_dict(d: dict, path: str) -> Ref:
 def _slot_from_dict(d: dict, path: str) -> Slot:
     if not isinstance(d, dict) or "vertex" not in d:
         raise ExpressionParseError(f"{path}: slot must be an object with a 'vertex' key")
-    return Slot(vertex=d["vertex"], ref=_ref_from_dict(d, path))
+    return Slot(vertex=_name(d["vertex"], path, "'vertex'"), ref=_ref_from_dict(d, path))
 
 
 def _node_from_dict(d: dict, path: str):
@@ -512,18 +535,18 @@ def _node_from_dict(d: dict, path: str):
         return Factor(
             outcomes=tuple(
                 _slot_from_dict(s, f"{path}.outcomes[{i}]")
-                for i, s in enumerate(d.get("outcomes", []))
+                for i, s in enumerate(_list(d, "outcomes", path))
             ),
             given=tuple(
                 _slot_from_dict(s, f"{path}.given[{i}]")
-                for i, s in enumerate(d.get("given", []))
+                for i, s in enumerate(_list(d, "given", path))
             ),
         )
     if kind == "product":
         return Product(
             terms=tuple(
                 _node_from_dict(t, f"{path}.terms[{i}]")
-                for i, t in enumerate(d.get("terms", []))
+                for i, t in enumerate(_list(d, "terms", path))
             )
         )
     if kind == "quotient":
@@ -537,12 +560,11 @@ def _node_from_dict(d: dict, path: str):
     if kind in ("sum", "marginal"):
         cls = Sum if kind == "sum" else Marginal
         indices = []
-        for i, idx in enumerate(d.get("indices", [])):
+        for i, idx in enumerate(_list(d, "indices", path)):
+            at = f"{path}.indices[{i}]"
             if not isinstance(idx, dict) or "var" not in idx or "vertex" not in idx:
-                raise ExpressionParseError(
-                    f"{path}.indices[{i}]: expected an object with 'var' and 'vertex'"
-                )
-            indices.append((idx["var"], idx["vertex"]))
+                raise ExpressionParseError(f"{at}: expected an object with 'var' and 'vertex'")
+            indices.append((_name(idx["var"], at, "'var'"), _name(idx["vertex"], at, "'vertex'")))
         if "body" not in d:
             raise ExpressionParseError(f"{path}: {kind} missing 'body'")
         return cls(indices=tuple(indices), body=_node_from_dict(d["body"], f"{path}.body"))

@@ -21,13 +21,19 @@ from .identify import Identified, Query
 from .tables import ProbTable
 
 POSITIVITY_FLOOR = 1e-3
-# The joint is dense over every vertex, hidden ones included: 2**24 float64
-# cells take 128 MiB.
+# Each table is one contraction whose index space spans every vertex, hidden
+# ones included; this bounds the cells it enumerates.
 MAX_JOINT_CELLS = 2**24
 
 
-def _check_joint_size(g: MixedGraph, cards: Mapping[str, int]) -> None:
-    """Refuse, before allocating, an SCM whose dense joint is too large."""
+def _check_cards(g: MixedGraph, cards: Mapping[str, int]) -> None:
+    """The one cardinality check: each vertex has a cardinality of at least
+    2, and the joint over all of them at most ``MAX_JOINT_CELLS`` cells."""
+    for v in g.random:
+        if v not in cards:
+            raise GraphError(f"missing cardinality for {v!r}")
+        if int(cards[v]) < 2:
+            raise GraphError(f"cardinality of {v!r} must be at least 2")
     cells = math.prod(int(cards[v]) for v in g.random)
     if cells > MAX_JOINT_CELLS:
         raise GraphError(
@@ -54,11 +60,8 @@ class DiscreteScm:
         g = self.graph
         if g.bidirected or g.fixed:
             raise GraphError("an SCM graph must be a DAG (hidden vertices allowed)")
+        _check_cards(g, self.cards)
         for v in g.random:
-            if v not in self.cards:
-                raise GraphError(f"missing cardinality for {v!r}")
-            if int(self.cards[v]) < 2:
-                raise GraphError(f"cardinality of {v!r} must be at least 2")
             if v not in self.cpts:
                 raise GraphError(f"missing CPT for {v!r}")
             cpt = self.cpts[v]
@@ -72,7 +75,6 @@ class DiscreteScm:
                 raise GraphError(f"CPT rows for {v!r} do not sum to 1")
             if cpt.min() < POSITIVITY_FLOOR - 1e-12:
                 raise GraphError(f"CPT for {v!r} violates the positivity floor")
-        _check_joint_size(g, self.cards)
 
     @property
     def observed(self) -> Tuple[str, ...]:
@@ -86,16 +88,15 @@ def random_scm(g: MixedGraph, cards: Mapping[str, int], seed: int) -> DiscreteSc
     CPT cell with ``numpy.random.default_rng(seed)`` (row-major), normalize
     each row, then mix with the uniform distribution at weight
     ``cardinality * POSITIVITY_FLOOR`` so every entry is at least the floor.
-    Raises ``GraphError``, before drawing anything, when the joint over all
-    vertices would have more than ``MAX_JOINT_CELLS`` cells.
+    Raises ``GraphError``, before drawing anything, when a cardinality is
+    missing or below 2, or when the joint over all vertices would have more
+    than ``MAX_JOINT_CELLS`` cells.
     """
-    _check_joint_size(g, cards)
+    _check_cards(g, cards)
     rng = np.random.default_rng(seed)
     cpts: Dict[str, np.ndarray] = {}
     for v in g.random:
         card = int(cards[v])
-        if card < 2:
-            raise GraphError(f"cardinality of {v!r} must be at least 2")
         shape = tuple(int(cards[p]) for p in sorted(g.parents({v}))) + (card,)
         raw = rng.random(size=shape)
         rows = raw / raw.sum(axis=-1, keepdims=True)
@@ -104,42 +105,29 @@ def random_scm(g: MixedGraph, cards: Mapping[str, int], seed: int) -> DiscreteSc
     return DiscreteScm(graph=g, cards=dict(cards), cpts=cpts)
 
 
-def _full_joint(scm: DiscreteScm, override: Mapping[str, np.ndarray] = ()) -> np.ndarray:
-    """Dense joint over all vertices (axes sorted), with optional per-vertex
-    factor overrides (used for truncation)."""
+def _contract(scm: DiscreteScm, clamp: Mapping[str, int], keep: Iterable[str]) -> ProbTable:
+    """The CPT product summed over every vertex not in ``keep``: one
+    ``einsum`` with an integer label per vertex. A clamped vertex's CPT is
+    dropped and the others are sliced at its value; the leading 0-d operand
+    keeps the list non-empty when every vertex is clamped."""
     g = scm.graph
-    order = {v: i for i, v in enumerate(g.random)}
-    shape = tuple(scm.cards[v] for v in g.random)
-    joint = np.ones(shape)
-    override = dict(override)
+    label = {v: i for i, v in enumerate(g.random)}
+    operands = [np.ones(()), []]
     for v in g.random:
-        if v in override:
-            factor = override[v]
-            axes = [v]
-        else:
-            factor = scm.cpts[v]
+        if v not in clamp:
             axes = sorted(g.parents({v})) + [v]
-        perm = np.argsort([order[x] for x in axes], kind="stable")
-        arranged = np.transpose(factor, axes=tuple(perm))
-        target = [1] * len(shape)
-        for x in axes:
-            target[order[x]] = scm.cards[x]
-        joint = joint * arranged.reshape(target)
-    return joint
-
-
-def _table_over(scm: DiscreteScm, joint: np.ndarray, keep: Iterable[str]) -> ProbTable:
-    g = scm.graph
-    keep = set(keep)
-    drop = tuple(i for i, v in enumerate(g.random) if v not in keep)
-    vals = joint.sum(axis=drop) if drop else joint
-    kept = tuple(v for v in g.random if v in keep)
-    return ProbTable(variables=kept, cards=tuple(scm.cards[v] for v in kept), values=vals)
+            operands += [
+                scm.cpts[v][tuple(clamp.get(x, slice(None)) for x in axes)],
+                [label[x] for x in axes if x not in clamp],
+            ]
+    kept = sorted(keep)
+    values = np.einsum(*operands, [label[v] for v in kept])
+    return ProbTable(variables=tuple(kept), cards=tuple(scm.cards[v] for v in kept), values=values)
 
 
 def observed_joint(scm: DiscreteScm) -> ProbTable:
     """Exact observed joint: product of all CPTs with hidden vertices summed out."""
-    return _table_over(scm, _full_joint(scm), scm.observed)
+    return _contract(scm, {}, scm.observed)
 
 
 def interventional(
@@ -148,7 +136,7 @@ def interventional(
     """Truncated factorization on the full hidden-variable DAG.
 
     Drops each treatment's CPT, clamps the treatment to its value in all
-    remaining factors, and sums out everything but ``outcomes``.
+    remaining CPTs, and sums out everything but ``outcomes``.
     """
     outcomes = set(outcomes)
     obs = set(scm.observed)
@@ -156,15 +144,11 @@ def interventional(
         raise GraphError("treatments and outcomes must be disjoint")
     if not (set(treatments) | outcomes) <= obs:
         raise GraphError("treatments and outcomes must be observed vertices")
-    override = {}
     for v, value in treatments.items():
         card = scm.cards[v]
         if not 0 <= int(value) < card:
             raise GraphError(f"value {value!r} out of range for {v!r} (cardinality {card})")
-        point = np.zeros(card)
-        point[int(value)] = 1.0
-        override[v] = point
-    return _table_over(scm, _full_joint(scm, override), outcomes)
+    return _contract(scm, {v: int(value) for v, value in treatments.items()}, outcomes)
 
 
 @dataclass(frozen=True)

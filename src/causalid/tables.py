@@ -38,24 +38,17 @@ class ProbTable:
         return dict(zip(self.variables, self.cards))
 
     def marginal(self, keep) -> "ProbTable":
-        """Marginal over ``keep`` (any order); result axes are sorted."""
+        """Marginal over ``keep`` (any order); result axes are sorted. One
+        ``einsum`` sums out the other axes and orders the kept ones."""
         keep = sorted(set(keep))
         missing = [v for v in keep if v not in self.variables]
         if missing:
             raise GraphError(f"unknown variables in marginal: {missing}")
-        drop_axes = tuple(
-            i for i, v in enumerate(self.variables) if v not in keep
+        values = np.einsum(
+            self.values, range(len(self.variables)), [self.variables.index(v) for v in keep]
         )
-        vals = self.values.sum(axis=drop_axes) if drop_axes else self.values
-        kept = [v for v in self.variables if v in keep]
-        # reorder axes to sorted variable order
-        order = np.argsort(kept, kind="stable")
-        vals = np.transpose(vals, axes=tuple(order))
-        kept_sorted = sorted(kept)
         return ProbTable(
-            variables=tuple(kept_sorted),
-            cards=tuple(self.card(v) for v in kept_sorted),
-            values=vals,
+            variables=tuple(keep), cards=tuple(self.card(v) for v in keep), values=values
         )
 
     def prob(self, assignment: Mapping[str, int]) -> float:

@@ -9,7 +9,18 @@ import random as pyrandom
 
 import numpy as np
 
-from causalid import Marginal, MixedGraph, ProbTable, Product, Quotient, Sum
+from causalid import (
+    Factor,
+    Marginal,
+    MixedGraph,
+    NotReachable,
+    ProbTable,
+    Product,
+    Quotient,
+    Slot,
+    Sum,
+    Var,
+)
 
 
 # ------------------------------------------------------- random instances
@@ -183,6 +194,94 @@ def exhaustive_valid_orderings(g: MixedGraph, targets):
     return valid
 
 
+def brute_table(scm, keep, clamp):
+    """The truncated factorization by enumeration: drop each clamped vertex's
+    CPT, hold it at its value, multiply the other CPT entries of every
+    assignment and add them up by ``keep`` (sorted). Pure Python, no numpy
+    arithmetic."""
+    g = scm.graph
+    keep = sorted(keep)
+    free = [v for v in g.random if v not in clamp]
+    parents = {v: sorted(g.parents({v})) for v in free}
+    out = {}
+    for values in itertools.product(*[range(scm.cards[v]) for v in free]):
+        x = {**clamp, **dict(zip(free, values))}
+        p = 1.0
+        for v in free:
+            p *= float(scm.cpts[v][tuple(x[u] for u in parents[v] + [v])])
+        key = tuple(x[v] for v in keep)
+        out[key] = out.get(key, 0.0) + p
+    return keep, out
+
+
+# ------------------------------------------------------ reference kernels
+
+def _sum_out(q, vertices):
+    """``q`` with ``vertices`` summed out; a marginal of a plain joint factor
+    is the factor over what is left."""
+    if not vertices:
+        return q
+    if isinstance(q, Factor) and not q.given:
+        return Factor(outcomes=tuple(s for s in q.outcomes if s.vertex not in vertices))
+    return Marginal(indices=tuple((v, v) for v in sorted(vertices)), body=q)
+
+
+def _factor(v, given):
+    return Factor(outcomes=(Slot(v, Var(v)),), given=tuple(Slot(u, Var(u)) for u in sorted(given)))
+
+
+def tian_kernel(g: MixedGraph, district):
+    """Reference kernel of a bidirected-connected set D of an ADMG by Tian's
+    recursion (Tian & Pearl 2002; Shpitser & Pearl 2006, Fig. 3), built from
+    ancestors and districts alone, with no fixing code. Free variables are
+    named after vertices, as in ``identify_district``.
+
+    Start from T = V and Q = p(V). At each level A = an_{G[T]}(D). When
+    A = D the kernel is Q summed over T - D. Otherwise T' is D's district in
+    G[A]; when T' = T the recursion is stuck, with residual T - D (at the
+    first level T = V need not be one district, so A = T alone is no
+    verdict). Else Q[T'] = prod over v in T' of Q[A](v | pre_A(v)), in the
+    order (number of ancestors in G[A], name). At the first level Q[A] is
+    p(A), so each term is p(v | mb(v)): the district T_v of v in
+    G[pre_A(v) + v], plus its parents, minus v.
+    """
+    d = frozenset(district)
+    t = frozenset(g.random)
+    q = Factor(outcomes=tuple(Slot(v, Var(v)) for v in g.random))
+    first = True
+    while True:
+        a = g.induced_subgraph(t).ancestors(d)
+        if a == d:
+            return _sum_out(q, t - d)
+        g_a = g.induced_subgraph(a)
+        t_next = g_a.district_of(min(d))
+        if t_next == t:
+            return NotReachable(residual=tuple(sorted(t - d)))
+        order = sorted(a, key=lambda v: (len(g_a.ancestors({v})), v))
+        terms = []
+        for i, v in enumerate(order):
+            if v not in t_next:
+                continue
+            pre = set(order[:i])
+            if first:
+                t_v = g.induced_subgraph(pre | {v}).district_of(v)
+                terms.append(_factor(v, (t_v - {v}) | g.parents(t_v)))
+            else:
+                terms.append(Quotient(_sum_out(q, t - pre - {v}), _sum_out(q, t - pre)))
+        q = terms[0] if len(terms) == 1 else Product(terms=tuple(terms))
+        t, first = t_next, False
+
+
+def _children(node):
+    if isinstance(node, Product):
+        return node.terms
+    if isinstance(node, Quotient):
+        return (node.numerator, node.denominator)
+    if isinstance(node, (Sum, Marginal)):
+        return (node.body,)
+    return ()
+
+
 def tree_nodes(expr) -> int:
     """Nodes of the estimand written out as a tree: a subtree shared by
     several parents counts once per parent. Memoized by ``id``, so the walk
@@ -192,15 +291,21 @@ def tree_nodes(expr) -> int:
     def go(node):
         key = id(node)
         if key not in sizes:
-            if isinstance(node, Product):
-                kids = node.terms
-            elif isinstance(node, Quotient):
-                kids = (node.numerator, node.denominator)
-            elif isinstance(node, (Sum, Marginal)):
-                kids = (node.body,)
-            else:
-                kids = ()
-            sizes[key] = 1 + sum(go(k) for k in kids)
+            sizes[key] = 1 + sum(go(k) for k in _children(node))
         return sizes[key]
 
     return go(expr)
+
+
+def dag_nodes(expr) -> int:
+    """Distinct node objects in the estimand: a shared subtree counts once."""
+    seen = {}
+
+    def go(node):
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for k in _children(node):
+                go(k)
+
+    go(expr)
+    return len(seen)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random as pyrandom
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from causalid import (
     to_json,
     well_formed,
 )
-from helpers import random_positive_joint
+from helpers import dag_nodes, random_positive_joint
 
 
 def factor(outs, givs=()):
@@ -96,6 +98,20 @@ def test_substitute_shadowing():
     # bound m untouched, free y renamed
     assert out.body.given[0].ref == Var("m")
     assert out.body.outcomes[0].ref == Var("z")
+
+
+def test_substitute_keeps_shared_subtrees_shared():
+    s = factor(["Y"], ["A"])
+    out = substitute(Product((s, s)), {"a": Var("x")})
+    assert out.terms[0] is out.terms[1]
+    assert out.terms[0] == factor(["Y"], [Slot("A", Var("x"))])
+
+
+def test_identify_keeps_the_running_kernel_shared(fig1d):
+    from causalid import Query, identify
+
+    res = identify(fig1d, Query(outcomes=("Y",), treatments=("A",)))
+    assert dag_nodes(res.estimand) == 28
 
 
 def test_simplify_cancellation():
@@ -286,16 +302,52 @@ def test_json_round_trip():
     assert from_json(to_json(e)) == e
 
 
-def test_json_parse_errors_carry_paths():
-    with pytest.raises(ExpressionParseError, match="schema_version"):
-        from_json('{"expr": {"kind": "product", "terms": []}}')
-    with pytest.raises(ExpressionParseError, match=r"expr\.terms\[0\]"):
-        from_json('{"schema_version": 1, "expr": {"kind": "product", "terms": [{"kind": "wat"}]}}')
-    with pytest.raises(ExpressionParseError, match="line 1"):
-        from_json("{nope")
-    with pytest.raises(ExpressionParseError, match=r"outcomes\[0\].*'var' or 'const'"):
-        from_json('{"schema_version": 1, "expr": {"kind": "factor", '
-                  '"outcomes": [{"vertex": "Y"}], "given": []}}')
+FACTOR_Y = {"kind": "factor", "outcomes": [{"vertex": "Y", "var": "y"}]}
+
+
+PARSE_ERRORS = [
+    ("{nope", "invalid JSON at line 1"),
+    ([], "top level must be an object"),
+    ({"expr": FACTOR_Y}, "unsupported schema_version"),
+    ({"schema_version": 1, "expr": 5}, "expr: expected an object with a 'kind' key"),
+    ({"kind": "wat"}, "expr: unknown node kind 'wat'"),
+    ({"kind": "product", "terms": 5}, "expr: 'terms' must be a list"),
+    ({"kind": "product", "terms": [{"kind": "wat"}]}, "expr.terms[0]: unknown node kind"),
+    ({"kind": "quotient", "numerator": FACTOR_Y}, "expr: quotient missing 'denominator'"),
+    ({"kind": "factor", "outcomes": 5}, "expr: 'outcomes' must be a list"),
+    ({"kind": "factor", "outcomes": [], "given": {}}, "expr: 'given' must be a list"),
+    ({"kind": "factor", "outcomes": ["Y"]}, "expr.outcomes[0]: slot must be an object"),
+    ({"kind": "factor", "outcomes": [{"vertex": 5, "var": "a"}]},
+     "expr.outcomes[0]: 'vertex' must be a non-empty string"),
+    ({"kind": "factor", "outcomes": [{"vertex": "Y"}]}, "expr.outcomes[0]: slot needs 'var' or 'const'"),
+    ({"kind": "factor", "outcomes": [{"vertex": "Y", "var": "y", "const": 0}]},
+     "expr.outcomes[0]: slot has both 'var' and 'const'"),
+    ({"kind": "factor", "outcomes": [{"vertex": "Y", "var": ""}]},
+     "expr.outcomes[0]: 'var' must be a non-empty string"),
+    ({"kind": "factor", "outcomes": [], "given": [{"vertex": "Y", "const": True}]},
+     "expr.given[0]: 'const' must be an integer"),
+    ({"kind": "sum", "indices": 5, "body": FACTOR_Y}, "expr: 'indices' must be a list"),
+    ({"kind": "sum", "indices": [{"var": "y"}], "body": FACTOR_Y},
+     "expr.indices[0]: expected an object with 'var' and 'vertex'"),
+    ({"kind": "marginal", "indices": [{"var": 3, "vertex": "Y"}], "body": FACTOR_Y},
+     "expr.indices[0]: 'var' must be a non-empty string"),
+    ({"kind": "sum", "indices": [{"var": "y", "vertex": ["Y"]}], "body": FACTOR_Y},
+     "expr.indices[0]: 'vertex' must be a non-empty string"),
+    ({"kind": "marginal", "indices": []}, "expr: marginal missing 'body'"),
+]
+
+
+@pytest.mark.parametrize(
+    "expr, prefix", PARSE_ERRORS,
+    ids=[re.sub(r"\W+", "-", p).strip("-") for _, p in PARSE_ERRORS],
+)
+def test_json_parse_errors_carry_paths(expr, prefix):
+    # a bare node is wrapped as the document's expression
+    if isinstance(expr, dict) and "kind" in expr:
+        expr = {"schema_version": 1, "expr": expr}
+    text = expr if isinstance(expr, str) else json.dumps(expr)
+    with pytest.raises(ExpressionParseError, match="^" + re.escape(prefix)):
+        from_json(text)
 
 
 def test_json_round_trip_fuzz():

@@ -10,6 +10,7 @@ from causalid import (
     GraphError,
     HedgeWitness,
     Identified,
+    MixedGraph,
     NotIdentified,
     NotReachable,
     Query,
@@ -21,9 +22,11 @@ from causalid import (
     identify,
     identify_district,
     is_hedge,
+    random_scm,
     reachable_closure,
     render_text,
     simplify,
+    verify,
     well_formed,
 )
 from conftest import load_fig
@@ -32,7 +35,9 @@ from helpers import (
     chain,
     random_admg,
     random_positive_joint,
+    random_hidden_dag,
     random_query_sets,
+    tian_kernel,
     tree_nodes,
 )
 
@@ -454,3 +459,69 @@ def test_chain_estimand_stays_polynomial(n):
     res = identify(chain(n), Query(outcomes=(f"V{n - 1}",), treatments=("V0",)))
     assert isinstance(res, Identified)
     assert tree_nodes(res.estimand) <= 3 * n * n
+
+
+# ------------------------------------------- reference kernels by Tian's recursion
+
+def test_tian_recursion_agrees_with_fixing_on_every_golden_district():
+    from test_golden_hedges import queries
+
+    stuck = 0
+    for g, q in queries():
+        for d in decompose(g, q).districts:
+            want, got = identify_district(g, d), tian_kernel(g, d)
+            assert isinstance(got, NotReachable) == isinstance(want, NotReachable), (d, q)
+            if isinstance(want, NotReachable):
+                assert got.residual == want.residual, (d, q)
+                stuck += 1
+    assert stuck > 50
+
+
+def test_identify_with_tian_kernels_passes_the_oracle(monkeypatch):
+    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    rng = pyrandom.Random(8)
+    verified = 0
+    for case in range(100):
+        g = random_hidden_dag(rng, n_obs=rng.randint(3, 6), n_hidden=rng.randint(1, 2))
+        outcomes, treatments = random_query_sets(rng, sorted(set(g.random) - g.hidden))
+        q = Query(outcomes=tuple(outcomes), treatments=tuple(treatments))
+        res = identify(g.latent_project(), q)
+        if res.identified:
+            scm = random_scm(g, {v: rng.choice([2, 3]) for v in g.random}, seed=case)
+            assert verify(scm, q, res, tol=1e-9).passed, (case, render_text(res.estimand))
+            verified += 1
+    assert verified > 50
+
+
+def test_tian_recursion_gives_the_textbook_front_door(fig1d, monkeypatch):
+    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    res = identify(fig1d, Query(outcomes=("Y",), treatments=("A",)))
+    assert render_text(res.estimand) == (
+        "sum_{c,m} p(c) p(m | a, c) (sum_{a'} p(a' | c) p(Y | a', c, m))"
+    )
+
+
+def test_tian_recursion_past_the_first_level_passes_the_oracle(monkeypatch):
+    # Y's district {W, X, Y, Z} loses X at the second level and Z with it;
+    # the third level sums W out, so the second level's terms are quotients
+    g = MixedGraph(
+        random=list("UWXYZ"),
+        directed=[("W", "Z"), ("Z", "Y"), ("X", "U"), ("U", "Y")],
+        bidirected=[("W", "Y"), ("X", "Y"), ("X", "Z")],
+    )
+    lifted = MixedGraph(
+        random=list("UWXYZ") + ["H0", "H1", "H2"],
+        hidden=["H0", "H1", "H2"],
+        directed=list(g.directed) + [
+            ("H0", "W"), ("H0", "Y"), ("H1", "X"), ("H1", "Y"), ("H2", "X"), ("H2", "Z"),
+        ],
+    )
+    assert lifted.latent_project() == g
+    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    for treatments in (("U",), ("U", "Z")):
+        q = Query(outcomes=("Y",), treatments=treatments)
+        res = identify(g, q)
+        assert "/" in render_text(res.estimand)
+        for seed in range(3):
+            scm = random_scm(lifted, {v: 2 + seed % 2 for v in lifted.random}, seed=seed)
+            assert verify(scm, q, res, tol=1e-9).passed

@@ -20,7 +20,7 @@ from causalid import (
     verify,
 )
 from causalid.oracle import MAX_JOINT_CELLS, POSITIVITY_FLOOR, DiscreteScm
-from helpers import random_hidden_dag
+from helpers import brute_table, random_hidden_dag
 
 
 def binary_cards(g):
@@ -71,9 +71,22 @@ def test_scm_validation():
         DiscreteScm(graph=admg, cards=good.cards, cpts=good.cpts)
 
 
+@pytest.mark.parametrize("cards, message", [
+    ({"A": 2}, "missing cardinality for 'B'"),
+    ({"A": 2, "B": 1}, "cardinality of 'B' must be at least 2"),
+])
+def test_one_cardinality_check_for_generator_and_scm(cards, message):
+    g = MixedGraph(random=["A", "B"], directed=[("A", "B")])
+    good = random_scm(g, {"A": 2, "B": 2}, seed=0)
+    with pytest.raises(GraphError, match=message):
+        random_scm(g, cards, seed=0)
+    with pytest.raises(GraphError, match=message):
+        DiscreteScm(graph=g, cards=cards, cpts=good.cpts)
+
+
 def test_joint_size_guard():
     # 2**24 cells is the limit: 24 binary vertices pass, 25 are refused before
-    # the joint is allocated; isolated vertices keep every CPT tiny
+    # anything is drawn; isolated vertices keep every CPT tiny
     assert MAX_JOINT_CELLS == 2**24
     at_limit = MixedGraph(random=[f"V{i}" for i in range(24)])
     random_scm(at_limit, binary_cards(at_limit), seed=0)
@@ -105,6 +118,41 @@ def test_observed_joint_sums_out_hidden(fig1b):
     # marginal consistency: summing the joint matches dropping variables
     m = joint.marginal(("A1", "W"))
     assert np.allclose(m.values, joint.values.sum(axis=(1, 3)), atol=1e-15)
+
+
+def assert_matches_brute(table, scm, keep, clamp):
+    variables, cells = brute_table(scm, keep, clamp)
+    assert table.variables == tuple(variables)
+    assert table.values.shape == tuple(scm.cards[v] for v in variables)
+    for idx, want in cells.items():
+        assert abs(float(table.values[idx]) - want) <= 1e-12
+
+
+def test_tables_match_brute_force_enumeration():
+    # every treatment value of 0-2 treatments among vertices with children,
+    # on hidden DAGs of 4-9 vertices; the first case has no outcomes
+    rng = pyrandom.Random(21)
+    for case in range(40):
+        g = random_hidden_dag(rng, n_obs=rng.randint(3, 6), n_hidden=rng.randint(1, 3))
+        scm = random_scm(g, {v: rng.choice([2, 3]) for v in g.random}, seed=case)
+        observed = sorted(scm.observed)
+        assert_matches_brute(observed_joint(scm), scm, observed, {})
+        with_children = sorted(v for v in observed if g.children({v}))
+        treatments = rng.sample(with_children, rng.randint(0, min(2, len(with_children))))
+        rest = [v for v in observed if v not in treatments]
+        outcomes = [] if case == 0 else rng.sample(rest, rng.randint(1, len(rest)))
+        for values in itertools.product(*[range(scm.cards[a]) for a in treatments]):
+            clamp = dict(zip(treatments, values))
+            got = interventional(scm, clamp, outcomes)
+            assert_matches_brute(got, scm, outcomes, clamp)
+
+
+def test_interventional_on_every_vertex_is_the_empty_table():
+    g = MixedGraph(random=["A", "B"], directed=[("A", "B")])
+    scm = random_scm(g, {"A": 2, "B": 3}, seed=1)
+    got = interventional(scm, {"A": 1, "B": 2}, ())
+    assert got.variables == () and got.values.shape == ()
+    assert float(got.values) == 1.0
 
 
 def test_interventional_empty_treatment_is_observed_marginal(fig1b):

@@ -1,6 +1,7 @@
 """Dense probability tables: marginals and point lookups."""
 
 import itertools
+import random as pyrandom
 
 import pytest
 
@@ -33,6 +34,26 @@ def test_prob_of_a_marginal(keep):
             if all(full[VARIABLES.index(v)] == x for v, x in assignment.items())
         )
         assert got == pytest.approx(brute, abs=1e-15)
+
+
+def test_marginal_matches_brute_force_sums():
+    # keep in any order, from nothing to every variable; axes come out sorted
+    rng = pyrandom.Random(4)
+    for case in range(30):
+        n = rng.randint(1, 5)
+        variables = rng.sample("ABCDEFG", n)
+        cards = tuple(rng.choice([2, 3]) for _ in variables)
+        joint = random_positive_joint(case, variables, cards)
+        keep = rng.sample(variables, rng.randint(0, n))
+        marg = joint.marginal(keep)
+        assert marg.variables == tuple(sorted(keep))
+        want = {}
+        for full in itertools.product(*map(range, cards)):
+            key = tuple(full[variables.index(v)] for v in marg.variables)
+            want[key] = want.get(key, 0.0) + float(joint.values[full])
+        assert marg.values.shape == tuple(joint.card(v) for v in marg.variables)
+        for key, p in want.items():
+            assert abs(float(marg.values[key]) - p) <= 1e-12
 
 
 @pytest.mark.parametrize("assignment", [
