@@ -12,9 +12,9 @@ five node kinds:
 * :class:`Marginal` -- same semantics as :class:`Sum`; used for the internal
   marginals of kernel synthesis and kept as a distinct kind in the JSON schema.
 
-Evaluation is exact dense enumeration against a :class:`~causalid.tables.ProbTable`,
-memoized per (node, free-variable assignment) so that shared subtrees are
-computed once.
+Evaluation against a :class:`~causalid.tables.ProbTable` is exact: each node
+becomes one dense table over its free variables, computed once however often
+the node is shared.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Tuple, Union
 from .errors import EvaluationError, ExpressionParseError
 
 if TYPE_CHECKING:  # numpy-backed; imported only for annotations
+    import numpy as np
+
     from .tables import ProbTable
 
 SCHEMA_VERSION = 1
@@ -261,86 +263,114 @@ def simplify(e: Expr) -> Expr:
 # ------------------------------------------------------------------ evaluator
 
 class Evaluator:
-    """Evaluates expressions against one observed joint, with shared caches.
+    """Evaluates expressions against one observed joint, one table per node.
 
-    Reuse a single instance to evaluate one estimand under many bindings: the
-    memo is keyed by each node's free-variable assignment, so work is shared
-    across bindings and across structurally shared subtrees.
+    Each node is evaluated once, over all of its free variables at once, as a
+    dense array whose axes are those variables in sorted order; a sum over a
+    product is one ``einsum`` contraction (variable elimination, Zhang &
+    Poole 1994). The arrays are memoized on ``id(node)`` and hold the node,
+    as ``free_vars`` does, so one instance shares work across bindings and
+    across structurally shared subtrees. A denominator that is zero in any
+    cell of its table raises, whether or not that cell is asked for.
     """
 
     def __init__(self, joint: ProbTable):
         self.joint = joint
         self._cards = joint.card_map()
         self._marginals: Dict[Tuple[str, ...], ProbTable] = {}
-        self._free: Dict[int, Tuple[Expr, FrozenSet[str]]] = {}
-        self._memo: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], float] = {}
+        self._tables: Dict[int, Tuple[Expr, Tuple[str, ...], np.ndarray]] = {}
 
-    def _marginal(self, vs: Tuple[str, ...]) -> ProbTable:
+    def _marginal(self, vs: Tuple[str, ...]) -> np.ndarray:
         if vs not in self._marginals:
             self._marginals[vs] = self.joint.marginal(vs)
-        return self._marginals[vs]
+        return self._marginals[vs].values
 
     def evaluate(self, e: Expr, binding: Mapping[str, int]) -> float:
-        missing = free_vars(e, self._free) - set(binding)
+        """The value of ``e`` where each free variable takes its value in
+        ``binding``. A value may also be an integer array: the root's table is
+        indexed as numpy indexes, so arrays that broadcast together read a
+        whole grid of points in one call."""
+        names, values = self._table(e)  # ``names`` are the free variables
+        missing = set(names) - set(binding)
         if missing:
             raise EvaluationError(f"missing binding for variables: {sorted(missing)}")
-        return self._eval(e, dict(binding))
+        return values[tuple(binding[v] for v in names)]
 
-    def _eval(self, node, env) -> float:
-        # ``self._free`` holds every node seen here, so ``id(node)`` stays
-        # unique for as long as the memo does
-        fv = free_vars(node, self._free)
-        key = (id(node), tuple(sorted((v, env[v]) for v in fv)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._eval_raw(node, env)
-        self._memo[key] = val
-        return val
+    def _table(self, node) -> Tuple[Tuple[str, ...], np.ndarray]:
+        hit = self._tables.get(id(node))
+        if hit is None:
+            hit = self._tables[id(node)] = (node, *self._table_raw(node))
+        return hit[1], hit[2]
 
-    def _eval_raw(self, node, env) -> float:
+    def _table_raw(self, node) -> Tuple[Tuple[str, ...], np.ndarray]:
         if isinstance(node, Factor):
-            # ``evaluate`` has checked that every free variable is bound
-            out_assign, giv_assign = (
-                {s.vertex: env[s.ref.name] if isinstance(s.ref, Var) else s.ref.value for s in slots}
-                for slots in (node.outcomes, node.given)
-            )
-            all_vs = tuple(sorted(set(out_assign) | set(giv_assign)))
-            num = self._marginal(all_vs).prob({**giv_assign, **out_assign})
-            if not node.given:
-                return num
-            den = self._marginal(tuple(sorted(giv_assign))).prob(giv_assign)
-            if den == 0.0:
-                raise EvaluationError(
-                    f"zero conditioning probability in {render_text(node)}"
-                )
-            return num / den
+            # slice the marginal at the constants, then divide by the given
+            # marginal over the axes left; the vertices are sorted, so each
+            # table's axes are a subsequence of the next one's
+            slots = node.outcomes + node.given
+            at = {s.vertex: s.ref.value for s in slots if isinstance(s.ref, Const)}
+            names = {s.vertex: s.ref.name for s in slots if isinstance(s.ref, Var)}
+            vertices = tuple(sorted(s.vertex for s in slots))
+            values = self._marginal(vertices)[tuple(at.get(v, slice(None)) for v in vertices)]
+            free = tuple(v for v in vertices if v in names)
+            if node.given:
+                given = tuple(sorted(s.vertex for s in node.given))
+                den = self._marginal(given)[tuple(at.get(v, slice(None)) for v in given)]
+                if not den.all():
+                    raise EvaluationError(
+                        f"zero conditioning probability in {render_text(node)}"
+                    )
+                values = values / _spread(den, [v for v in given if v in names], free)
+            return _contract([(tuple(names[v] for v in free), values)])
         if isinstance(node, Product):
-            val = 1.0
-            for t in node.terms:
-                val *= self._eval(t, env)
-            return val
+            return _contract([self._table(t) for t in node.terms])
         if isinstance(node, Quotient):
-            den = self._eval(node.denominator, env)
-            if den == 0.0:
+            den_names, den = self._table(node.denominator)
+            if not den.all():
                 raise EvaluationError(
                     f"zero denominator in quotient: {render_text(node.denominator)}"
                 )
-            return self._eval(node.numerator, env) / den
+            num_names, num = self._table(node.numerator)
+            names = tuple(sorted(set(num_names) | set(den_names)))
+            return names, _spread(num, num_names, names) / _spread(den, den_names, names)
         if isinstance(node, (Sum, Marginal)):
-            names = [v for v, _ in node.indices]
             for _, vertex in node.indices:
                 if vertex not in self._cards:
                     raise EvaluationError(f"unknown vertex in summation: {vertex!r}")
-            ranges = [range(self._cards[vertex]) for _, vertex in node.indices]
-            total = 0.0
-            inner = dict(env)
-            for combo in itertools.product(*ranges):
-                for name, value in zip(names, combo):
-                    inner[name] = value
-                total += self._eval(node.body, inner)
-            return total
+            body = node.body
+            terms = body.terms if isinstance(body, Product) else (body,)
+            tables = [self._table(t) for t in terms]
+            names, values = _contract(tables, {v for v, _ in node.indices})
+            used = set().union(*[n for n, _ in tables])
+            for v, vertex in node.indices:
+                if v not in used:  # the body counts once per value of v
+                    values = values * self._cards[vertex]
+            return names, values
         raise TypeError(f"not an expression node: {node!r}")
+
+
+def _spread(values: np.ndarray, names, target) -> np.ndarray:
+    """``values``, whose axes are ``names`` (a subsequence of ``target``),
+    reshaped to broadcast over ``target``."""
+    sizes = iter(values.shape)
+    return values.reshape([next(sizes) if v in names else 1 for v in target])
+
+
+def _contract(tables, summed=frozenset()) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The product of ``(names, values)`` tables with ``summed`` summed out,
+    as one ``einsum``; the result's axes are the other names, sorted. A name
+    repeated within one table takes that table's diagonal."""
+    import numpy as np  # every table comes from a ProbTable, so numpy is loaded
+
+    labels: Dict[str, int] = {}
+    operands: list = [] if tables else [1.0, []]
+    for names, values in tables:
+        operands += [values, [labels.setdefault(v, len(labels)) for v in names]]
+    out = tuple(sorted(v for v in labels if v not in summed))
+    # a contraction order pays off from three operands on; below that,
+    # planning one costs more than the loop it would save
+    optimize = "greedy" if len(tables) > 2 else False
+    return out, np.einsum(*operands, [labels[v] for v in out], optimize=optimize)
 
 
 def evaluate(e: Expr, joint: ProbTable, binding: Mapping[str, int]) -> float:

@@ -97,6 +97,12 @@ def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
     _require_admg(g)
     d = set(district)
     _require_connected(g, d)
+    return _kernel(g, d)
+
+
+def _kernel(g: MixedGraph, d) -> Union[ex.Expr, NotReachable]:
+    """``identify_district`` without its input checks, for the districts
+    that ``decompose`` has just built."""
     res = find_valid_sequence(g, set(g.random) - d)
     if isinstance(res, NotReachable):
         return res
@@ -262,7 +268,7 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
     kernels: Dict[Tuple[str, ...], ex.Expr] = {}
     failing: List[Tuple[Tuple[str, ...], NotReachable]] = []
     for d in dec.districts:
-        res = identify_district(g, d)
+        res = _kernel(g, set(d))
         if isinstance(res, NotReachable):
             failing.append((d, res))
         else:

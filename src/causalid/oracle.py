@@ -7,7 +7,6 @@ is desk-sized graphs (a handful of variables with small cardinalities).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
@@ -70,6 +69,8 @@ class DiscreteScm:
                 raise GraphError(
                     f"CPT for {v!r} has shape {cpt.shape}, expected {expected}"
                 )
+            if not np.all(np.isfinite(cpt)):
+                raise GraphError(f"CPT for {v!r} has non-finite entries")
             rows = cpt.sum(axis=-1)
             if np.max(np.abs(rows - 1.0)) > 1e-12:
                 raise GraphError(f"CPT rows for {v!r} do not sum to 1")
@@ -105,29 +106,33 @@ def random_scm(g: MixedGraph, cards: Mapping[str, int], seed: int) -> DiscreteSc
     return DiscreteScm(graph=g, cards=dict(cards), cpts=cpts)
 
 
-def _contract(scm: DiscreteScm, clamp: Mapping[str, int], keep: Iterable[str]) -> ProbTable:
-    """The CPT product summed over every vertex not in ``keep``: one
-    ``einsum`` with an integer label per vertex. A clamped vertex's CPT is
-    dropped and the others are sliced at its value; the leading 0-d operand
-    keeps the list non-empty when every vertex is clamped."""
+def _contract(
+    scm: DiscreteScm, treatments: Iterable[str], keep: Iterable[str]
+) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """The truncated factorization summed over every vertex not in ``keep``,
+    as one ``einsum`` with an integer label per vertex: each treatment's CPT
+    is dropped and a vector of ones keeps its axis, so the table holds the
+    distribution of the other kept vertices under every treatment value at
+    once. ``keep`` must hold the treatments; its axes come out sorted. The
+    leading 0-d operand keeps the list non-empty on a graph with no
+    vertices."""
     g = scm.graph
+    treatments = set(treatments)
     label = {v: i for i, v in enumerate(g.random)}
     operands = [np.ones(()), []]
     for v in g.random:
-        if v not in clamp:
-            axes = sorted(g.parents({v})) + [v]
-            operands += [
-                scm.cpts[v][tuple(clamp.get(x, slice(None)) for x in axes)],
-                [label[x] for x in axes if x not in clamp],
-            ]
-    kept = sorted(keep)
-    values = np.einsum(*operands, [label[v] for v in kept])
-    return ProbTable(variables=tuple(kept), cards=tuple(scm.cards[v] for v in kept), values=values)
+        if v in treatments:
+            operands += [np.ones(scm.cards[v]), [label[v]]]
+        else:
+            operands += [scm.cpts[v], [label[x] for x in sorted(g.parents({v})) + [v]]]
+    kept = tuple(sorted(keep))
+    return kept, np.einsum(*operands, [label[v] for v in kept])
 
 
 def observed_joint(scm: DiscreteScm) -> ProbTable:
     """Exact observed joint: product of all CPTs with hidden vertices summed out."""
-    return _contract(scm, {}, scm.observed)
+    variables, values = _contract(scm, (), scm.observed)
+    return ProbTable(variables, tuple(scm.cards[v] for v in variables), values)
 
 
 def interventional(
@@ -135,7 +140,7 @@ def interventional(
 ) -> ProbTable:
     """Truncated factorization on the full hidden-variable DAG.
 
-    Drops each treatment's CPT, clamps the treatment to its value in all
+    Drops each treatment's CPT, holds the treatment at its value in all
     remaining CPTs, and sums out everything but ``outcomes``.
     """
     outcomes = set(outcomes)
@@ -148,14 +153,24 @@ def interventional(
         card = scm.cards[v]
         if not 0 <= int(value) < card:
             raise GraphError(f"value {value!r} out of range for {v!r} (cardinality {card})")
-    return _contract(scm, {v: int(value) for v, value in treatments.items()}, outcomes)
+    variables, values = _contract(scm, treatments, outcomes | set(treatments))
+    kept = tuple(v for v in variables if v not in treatments)
+    at = tuple(int(treatments[v]) if v in treatments else slice(None) for v in variables)
+    return ProbTable(kept, tuple(scm.cards[v] for v in kept), values[at])
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The comparison over every point. ``worst`` assigns a value to each
+    outcome and treatment at a point of largest deviation, where the
+    estimand gives ``got`` and the truth ``want``. A NaN deviation fails."""
+
     max_deviation: float
     tolerance: float
     points: int
+    worst: Mapping[str, int]
+    got: float
+    want: float
 
     @property
     def passed(self) -> bool:
@@ -167,6 +182,7 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "points": self.points,
             "passed": self.passed,
+            "worst_point": {"assignment": dict(self.worst), "got": self.got, "want": self.want},
         }
 
 
@@ -174,7 +190,10 @@ def verify(
     scm: DiscreteScm, query: Query, result: Identified, tol: float = 1e-9
 ) -> VerificationReport:
     """Compare the identified estimand against ground truth, pointwise over
-    every joint assignment of outcomes and treatment values."""
+    every joint assignment of outcomes and treatment values.
+
+    The truth is one table over the outcomes and treatments; the estimand is
+    read on the same grid in one ``Evaluator.evaluate`` call."""
     if not isinstance(result, Identified) or not result.identified:
         raise GraphError("verification requires an identified result")
     if query != result.query:
@@ -183,19 +202,26 @@ def verify(
     if projection != result.graph:
         raise GraphError("the SCM's latent projection differs from the identified graph")
     joint = observed_joint(scm)
-    evaluator = Evaluator(joint)
+    variables, want = _contract(scm, query.treatments, query.outcomes + query.treatments)
+    treated = [i for i, v in enumerate(variables) if v in query.treatments]
+    totals = np.einsum(want, range(want.ndim), treated)
+    if not np.all(np.abs(totals - 1.0) <= 1e-12):
+        raise GraphError("an interventional distribution does not sum to 1")
+    # one index array per axis, each along its own axis, so they broadcast
+    # to the whole grid; treatments are bound by their labels
     labels = result.treatment_labels
-    y_list = list(query.outcomes)
-    a_list = list(query.treatments)
-    max_dev = 0.0
-    points = 0
-    for a_vals in itertools.product(*[range(scm.cards[a]) for a in a_list]):
-        truth = interventional(scm, dict(zip(a_list, a_vals)), y_list)
-        for y_vals in itertools.product(*[range(scm.cards[y]) for y in y_list]):
-            binding = dict(zip(y_list, y_vals))
-            binding.update({labels[a]: val for a, val in zip(a_list, a_vals)})
-            got = evaluator.evaluate(result.estimand, binding)
-            want = truth.prob(dict(zip(y_list, y_vals)))
-            max_dev = max(max_dev, abs(got - want))
-            points += 1
-    return VerificationReport(max_deviation=max_dev, tolerance=tol, points=points)
+    grid = {
+        labels.get(v, v): np.arange(n).reshape([-1 if i == k else 1 for i in range(want.ndim)])
+        for k, (v, n) in enumerate(zip(variables, want.shape))
+    }
+    got = np.broadcast_to(Evaluator(joint).evaluate(result.estimand, grid), want.shape)
+    dev = np.abs(got - want)
+    at = np.unravel_index(dev.argmax(), dev.shape)  # argmax finds a NaN first
+    return VerificationReport(
+        max_deviation=float(dev[at]),
+        tolerance=tol,
+        points=int(dev.size),
+        worst=dict(zip(variables, map(int, at))),
+        got=float(got[at]),
+        want=float(want[at]),
+    )

@@ -25,6 +25,8 @@ class ProbTable:
             raise GraphError(
                 f"table shape {self.values.shape} does not match cards {self.cards}"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise GraphError("probability table has non-finite entries")
         if np.any(self.values < 0):
             raise GraphError("probability table has negative entries")
         total = float(self.values.sum())

@@ -10,6 +10,7 @@ import random as pyrandom
 import numpy as np
 
 from causalid import (
+    EvaluationError,
     Factor,
     Marginal,
     MixedGraph,
@@ -20,6 +21,8 @@ from causalid import (
     Slot,
     Sum,
     Var,
+    free_vars,
+    render_text,
 )
 
 
@@ -309,3 +312,93 @@ def dag_nodes(expr) -> int:
 
     go(expr)
     return len(seen)
+
+
+# ------------------------------------------------------ reference evaluator
+
+class ScalarEvaluator:
+    """Reference evaluator by recursive enumeration: one Python float per
+    (node, free-variable assignment), and a ``Sum`` loops over the full
+    product of its ranges. The library's table evaluator is checked against
+    it.
+    """
+
+    def __init__(self, joint: ProbTable):
+        self.joint = joint
+        self._cards = joint.card_map()
+        self._marginals = {}
+        self._free = {}
+        self._memo = {}
+
+    def _marginal(self, vs):
+        if vs not in self._marginals:
+            self._marginals[vs] = self.joint.marginal(vs)
+        return self._marginals[vs]
+
+    def evaluate(self, e, binding) -> float:
+        missing = free_vars(e, self._free) - set(binding)
+        if missing:
+            raise EvaluationError(f"missing binding for variables: {sorted(missing)}")
+        return self._eval(e, dict(binding))
+
+    def _eval(self, node, env) -> float:
+        # ``self._free`` holds every node seen here, so ``id(node)`` stays
+        # unique for as long as the memo does
+        fv = free_vars(node, self._free)
+        key = (id(node), tuple(sorted((v, env[v]) for v in fv)))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        val = self._eval_raw(node, env)
+        self._memo[key] = val
+        return val
+
+    def _eval_raw(self, node, env) -> float:
+        if isinstance(node, Factor):
+            # ``evaluate`` has checked that every free variable is bound
+            out_assign, giv_assign = (
+                {s.vertex: env[s.ref.name] if isinstance(s.ref, Var) else s.ref.value for s in slots}
+                for slots in (node.outcomes, node.given)
+            )
+            all_vs = tuple(sorted(set(out_assign) | set(giv_assign)))
+            num = self._marginal(all_vs).prob({**giv_assign, **out_assign})
+            if not node.given:
+                return num
+            den = self._marginal(tuple(sorted(giv_assign))).prob(giv_assign)
+            if den == 0.0:
+                raise EvaluationError(
+                    f"zero conditioning probability in {render_text(node)}"
+                )
+            return num / den
+        if isinstance(node, Product):
+            val = 1.0
+            for t in node.terms:
+                val *= self._eval(t, env)
+            return val
+        if isinstance(node, Quotient):
+            den = self._eval(node.denominator, env)
+            if den == 0.0:
+                raise EvaluationError(
+                    f"zero denominator in quotient: {render_text(node.denominator)}"
+                )
+            return self._eval(node.numerator, env) / den
+        if isinstance(node, (Sum, Marginal)):
+            names = [v for v, _ in node.indices]
+            for _, vertex in node.indices:
+                if vertex not in self._cards:
+                    raise EvaluationError(f"unknown vertex in summation: {vertex!r}")
+            ranges = [range(self._cards[vertex]) for _, vertex in node.indices]
+            total = 0.0
+            inner = dict(env)
+            for combo in itertools.product(*ranges):
+                for name, value in zip(names, combo):
+                    inner[name] = value
+                total += self._eval(node.body, inner)
+            return total
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def scalar_evaluate(e, joint: ProbTable, binding) -> float:
+    """One-shot reference evaluation. For sweeps over bindings, hold a
+    :class:`ScalarEvaluator`."""
+    return ScalarEvaluator(joint).evaluate(e, binding)

@@ -160,6 +160,42 @@ def test_verify_passes(capsys):
     assert data["max_deviation"] < 1e-9
 
 
+def test_verify_reports_the_worst_trial_and_point(capsys):
+    code, out, err = run(capsys, "verify", fixture("fig1b"),
+                         "--treatment", "A1,A2", "--outcome", "Y",
+                         "--trials", "5", "--seed", "1")
+    assert code == 0
+    worst = json.loads(out)["worst_point"]
+    assert sorted(worst) == ["assignment", "got", "seed", "want"]
+    assert 1 <= worst["seed"] <= 5
+    assert sorted(worst["assignment"]) == ["A1", "A2", "Y"]
+    assert abs(worst["got"] - worst["want"]) == json.loads(out)["max_deviation"]
+
+
+def test_verify_nan_deviation_fails_the_sweep(capsys, monkeypatch):
+    # a NaN in any trial but the last must survive the maximum over trials
+    import dataclasses
+
+    import causalid.oracle
+
+    verify = causalid.oracle.verify
+    trials = []
+
+    def nan_in_trial_two(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        trials.append(report)
+        return dataclasses.replace(report, max_deviation=float("nan")) if len(trials) == 2 else report
+
+    monkeypatch.setattr(causalid.oracle, "verify", nan_in_trial_two)
+    code, out, err = run(capsys, "verify", fixture("fig1b"),
+                         "--treatment", "A1,A2", "--outcome", "Y",
+                         "--trials", "3", "--seed", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["max_deviation"] != data["max_deviation"] and data["passed"] is False
+    assert data["worst_point"]["seed"] == 2
+
+
 def test_verify_zero_trials_is_trivially_green(capsys):
     code, out, err = run(capsys, "verify", fixture("fig1b"),
                          "--treatment", "A1,A2", "--outcome", "Y", "--trials", "0")

@@ -29,7 +29,7 @@ from causalid import (
     to_json,
     well_formed,
 )
-from helpers import dag_nodes, random_positive_joint
+from helpers import ScalarEvaluator, dag_nodes, random_positive_joint
 
 
 def factor(outs, givs=()):
@@ -214,6 +214,75 @@ def test_quotient_zero_denominator():
     e = Quotient(factor(["A"]), factor(["A"]))
     with pytest.raises(EvaluationError, match="zero denominator"):
         evaluate(e, joint, {"a": 1})
+
+
+def test_zero_denominator_in_any_cell_raises():
+    # p(B=1) = 0: the table of p(a | b) has a zero denominator at b=1, so it
+    # raises even where only b=0 is asked for
+    vals = np.array([[0.5, 0.0], [0.5, 0.0]])
+    joint = ProbTable(variables=("A", "B"), cards=(2, 2), values=vals)
+    with pytest.raises(EvaluationError, match=r"p\(a \| b\)"):
+        evaluate(factor(["A"], ["B"]), joint, {"a": 0, "b": 0})
+    # a constant slot slices the table first: p(a | B=0) has no zero cell
+    at_zero = Factor(outcomes=(Slot("A", Var("a")),), given=(Slot("B", Const(0)),))
+    assert evaluate(at_zero, joint, {"a": 1}) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_evaluate_reads_a_grid_in_one_call():
+    joint = random_positive_joint(9, ("A", "B", "C"), (2, 3, 2))
+    ev = Evaluator(joint)
+    grid = {"a": np.arange(2).reshape(2, 1), "y": np.arange(2).reshape(1, 2)}
+    table = ev.evaluate(FRONT_DOOR_ABC, grid)
+    assert table.shape == (2, 2)
+    for a, y in itertools.product(range(2), range(2)):
+        assert table[a, y] == ev.evaluate(FRONT_DOOR_ABC, {"a": a, "y": y})
+
+
+def golden_estimands():
+    """(graph, identified result) for every fixture estimand pinned in
+    ``golden_estimands.json`` and every identified query of
+    ``golden_hedges.json``."""
+    from causalid import identify
+    from test_golden_estimands import queries as fixture_queries
+    from test_golden_hedges import queries as hedge_queries
+
+    pairs = [(g, q) for _, g, q in fixture_queries()] + list(hedge_queries())
+    for g, q in pairs:
+        res = identify(g, q)
+        if res.identified:
+            yield g, res
+
+
+def test_table_evaluator_matches_the_scalar_reference():
+    # every point of every golden estimand, each over its own seeded positive
+    # joint; graphs of up to five vertices mix binary and ternary ones
+    rng = pyrandom.Random(4)
+    checked = 0
+    for case, (g, res) in enumerate(golden_estimands()):
+        cards = tuple(rng.choice([2, 3]) if len(g.random) <= 5 else 2 for _ in g.random)
+        joint = random_positive_joint(case, g.random, cards)
+        card = dict(zip(g.random, cards))
+        q, labels = res.query, res.treatment_labels
+        names = list(q.outcomes) + [labels[a] for a in q.treatments]
+        vertices = list(q.outcomes) + list(q.treatments)
+        ev, ref = Evaluator(joint), ScalarEvaluator(joint)
+        for values in itertools.product(*[range(card[v]) for v in vertices]):
+            binding = dict(zip(names, values))
+            got = ev.evaluate(res.estimand, binding)
+            assert abs(got - ref.evaluate(res.estimand, binding)) <= 1e-12, (q, binding)
+            checked += 1
+    assert checked > 1000
+
+
+def test_evaluator_builds_one_table_per_distinct_node():
+    rng = pyrandom.Random(5)
+    for case, (g, res) in enumerate(golden_estimands()):
+        joint = random_positive_joint(case, g.random, [rng.choice([2, 3]) for _ in g.random])
+        ev = Evaluator(joint)
+        binding = {v: 0 for v in free_vars(res.estimand)}
+        ev.evaluate(res.estimand, binding)
+        ev.evaluate(res.estimand, binding)
+        assert 0 < len(ev._tables) <= dag_nodes(res.estimand)
 
 
 def test_evaluator_memo_reuse():

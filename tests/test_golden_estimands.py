@@ -19,8 +19,8 @@ from conftest import load_fig
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_estimands.json"
 
 
-def records():
-    out = []
+def queries():
+    """(fixture name, graph, query) in the file's order."""
     for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e"):
         g = load_fig(name)
         g = g.latent_project() if g.hidden else g
@@ -28,16 +28,20 @@ def records():
             rest = [v for v in g.random if v != y]
             for n_a in range(3):
                 for a in itertools.combinations(rest, n_a):
-                    res = identify(g, Query(outcomes=(y,), treatments=a))
-                    rec = {"fixture": name, "outcome": y, "treatments": list(a)}
-                    if res.identified:
-                        rec["text"] = render_text(res.estimand)
-                        rec["json_sha256"] = hashlib.sha256(
-                            to_json(res.estimand).encode()
-                        ).hexdigest()
-                    else:
-                        rec["not_identified"] = res.to_dict()
-                    out.append(rec)
+                    yield name, g, Query(outcomes=(y,), treatments=a)
+
+
+def records():
+    out = []
+    for name, g, q in queries():
+        res = identify(g, q)
+        rec = {"fixture": name, "outcome": q.outcomes[0], "treatments": list(q.treatments)}
+        if res.identified:
+            rec["text"] = render_text(res.estimand)
+            rec["json_sha256"] = hashlib.sha256(to_json(res.estimand).encode()).hexdigest()
+        else:
+            rec["not_identified"] = res.to_dict()
+        out.append(rec)
     return out
 
 

@@ -242,6 +242,26 @@ def test_each_fixing_step_is_probed_once(count_calls):
     assert len(probes) == 81
 
 
+def test_identify_does_not_recheck_the_districts_it_built(monkeypatch):
+    # the decomposition builds two induced subgraphs, one for the
+    # treatment-avoiding ancestors and one for the districts of Y* = V1..V9;
+    # those nine districts are not rebuilt to check that they are
+    # bidirected-connected, which identify_district does check
+    built = []
+    induced = MixedGraph.induced_subgraph
+
+    def counted(self, vertices):
+        built.append(vertices)
+        return induced(self, vertices)
+
+    monkeypatch.setattr(MixedGraph, "induced_subgraph", counted)
+    identify(chain(10), Query(outcomes=("V9",), treatments=("V0",)))
+    assert len(built) == 2
+    built.clear()
+    identify_district(chain(10), ("V9",))
+    assert len(built) == 1
+
+
 def test_hedge_violation_reason_codes(fig1c):
     # fig1c: W -> A1 -> Y <- A2, with A2 <-> W <-> Y
     hedge = (("W", "Y"), ("A2", "W", "Y"), ("W", "Y"))
@@ -478,7 +498,7 @@ def test_tian_recursion_agrees_with_fixing_on_every_golden_district():
 
 
 def test_identify_with_tian_kernels_passes_the_oracle(monkeypatch):
-    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    monkeypatch.setattr(sys.modules["causalid.identify"], "_kernel", tian_kernel)
     rng = pyrandom.Random(8)
     verified = 0
     for case in range(100):
@@ -494,7 +514,7 @@ def test_identify_with_tian_kernels_passes_the_oracle(monkeypatch):
 
 
 def test_tian_recursion_gives_the_textbook_front_door(fig1d, monkeypatch):
-    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    monkeypatch.setattr(sys.modules["causalid.identify"], "_kernel", tian_kernel)
     res = identify(fig1d, Query(outcomes=("Y",), treatments=("A",)))
     assert render_text(res.estimand) == (
         "sum_{c,m} p(c) p(m | a, c) (sum_{a'} p(a' | c) p(Y | a', c, m))"
@@ -517,7 +537,7 @@ def test_tian_recursion_past_the_first_level_passes_the_oracle(monkeypatch):
         ],
     )
     assert lifted.latent_project() == g
-    monkeypatch.setattr(sys.modules["causalid.identify"], "identify_district", tian_kernel)
+    monkeypatch.setattr(sys.modules["causalid.identify"], "_kernel", tian_kernel)
     for treatments in (("U",), ("U", "Z")):
         q = Query(outcomes=("Y",), treatments=treatments)
         res = identify(g, q)

@@ -6,12 +6,14 @@ import pytest
 
 from causalid import (
     Const,
+    Evaluator,
     Factor,
     GraphError,
     Identified,
     MixedGraph,
     Query,
     Slot,
+    ProbTable,
     Var,
     identify,
     interventional,
@@ -20,7 +22,7 @@ from causalid import (
     verify,
 )
 from causalid.oracle import MAX_JOINT_CELLS, POSITIVITY_FLOOR, DiscreteScm
-from helpers import brute_table, random_hidden_dag
+from helpers import brute_table, chain, random_hidden_dag
 
 
 def binary_cards(g):
@@ -96,6 +98,22 @@ def test_joint_size_guard():
     cpts = {v: np.array([0.5, 0.5]) for v in over.random}
     with pytest.raises(GraphError, match="above the oracle's limit"):
         DiscreteScm(graph=over, cards=binary_cards(over), cpts=cpts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_are_rejected(bad):
+    # every comparison with NaN is False, so a NaN passed the sum and sign
+    # checks, and verify then reported a deviation of 0
+    g = MixedGraph(random=["H", "A", "Y"], hidden=["H"],
+                   directed=[("H", "A"), ("H", "Y"), ("A", "Y")])
+    good = random_scm(g, binary_cards(g), seed=0)
+    cpts = dict(good.cpts)
+    cpts["Y"] = good.cpts["Y"].copy()
+    cpts["Y"][0, 1] = bad
+    with pytest.raises(GraphError, match="CPT for 'Y' has non-finite entries"):
+        DiscreteScm(graph=g, cards=good.cards, cpts=cpts)
+    with pytest.raises(GraphError, match="probability table has non-finite entries"):
+        ProbTable(variables=("A",), cards=(2,), values=np.array([1.0, bad]))
 
 
 # --------------------------------------------------------------------- joints
@@ -251,3 +269,54 @@ def test_verify_random_hidden_dags_smoke():
         assert verify(scm, q, res, tol=1e-9).passed
         verified += 1
     assert verified > 5
+
+
+def test_verify_reports_its_worst_point(fig1b, fig1c):
+    import dataclasses
+
+    q = Query(outcomes=("Y",), treatments=("A1", "A2"))
+    res = identify(fig1c, q)
+    wrong = Factor(outcomes=(Slot("Y", Var("Y")),),
+                   given=(Slot("A1", Var("a1")), Slot("A2", Var("a2"))))
+    scm = random_scm(fig1b, binary_cards(fig1b), seed=17)
+    report = verify(scm, q, dataclasses.replace(res, estimand=wrong))
+    worst = report.worst
+    assert sorted(worst) == ["A1", "A2", "Y"]
+    ev = Evaluator(observed_joint(scm))
+    truth = interventional(scm, {"A1": worst["A1"], "A2": worst["A2"]}, ("Y",))
+    assert report.want == truth.prob({"Y": worst["Y"]})
+    assert report.got == ev.evaluate(wrong, {"a1": worst["A1"], "a2": worst["A2"], "Y": worst["Y"]})
+    assert report.max_deviation == abs(report.got - report.want)
+    # no other point deviates more
+    for a1, a2, y in itertools.product(range(2), repeat=3):
+        want = interventional(scm, {"A1": a1, "A2": a2}, ("Y",)).prob({"Y": y})
+        got = ev.evaluate(wrong, {"a1": a1, "a2": a2, "Y": y})
+        assert abs(got - want) <= report.max_deviation
+    assert report.to_dict()["worst_point"] == {
+        "assignment": worst, "got": report.got, "want": report.want}
+
+
+def test_verify_fails_on_a_nan_deviation(fig1b, fig1c, monkeypatch):
+    # one NaN among the points: the maximum must not drop it
+    q = Query(outcomes=("Y",), treatments=("A1", "A2"))
+    res = identify(fig1c, q)
+    scm = random_scm(fig1b, binary_cards(fig1b), seed=17)
+    evaluate = Evaluator.evaluate
+
+    def with_a_nan(self, e, binding):
+        values = np.array(evaluate(self, e, binding), dtype=float)
+        values[(0,) * values.ndim] = np.nan
+        return values
+
+    monkeypatch.setattr(Evaluator, "evaluate", with_a_nan)
+    report = verify(scm, q, res)
+    assert np.isnan(report.max_deviation)
+    assert report.worst == {"A1": 0, "A2": 0, "Y": 0}
+    assert not report.passed
+
+
+def test_verify_binary_chain_16():
+    g = chain(16)
+    q = Query(outcomes=("V15",), treatments=("V0",))
+    report = verify(random_scm(g, binary_cards(g), seed=3), q, identify(g, q), tol=1e-9)
+    assert report.passed and report.points == 4
