@@ -15,11 +15,16 @@ five node kinds:
 Evaluation against a :class:`~causalid.tables.ProbTable` is exact: each node
 becomes one dense table over its free variables, computed once however often
 the node is shared.
+
+Every traversal but ``render_text``, ``render_latex``, ``to_json`` and
+``from_json``, which write or read the tree, steps each distinct node once
+(``substitute``: once per node and mapping), so it is linear in DAG nodes;
+only ``simplify``'s cancellation tests compare subtrees with ``==``, which
+walks them as trees.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Tuple, Union
@@ -95,83 +100,98 @@ Expr = Union[Factor, Product, Quotient, Sum, Marginal]
 
 # ------------------------------------------------------------ structure utils
 
-def free_vars(
-    e: Expr, _cache: Dict[int, Tuple[Expr, FrozenSet[str]]] = None
-) -> FrozenSet[str]:
-    """Names of variables occurring free in the expression.
+def _slots(node) -> Tuple[Tuple[str, Expr], ...]:
+    """Each direct sub-expression of ``node`` with its field path, in order:
+    ``terms[i]``, ``numerator`` and ``denominator``, or ``body``. A factor
+    has none."""
+    if isinstance(node, Product):
+        return tuple((f"terms[{i}]", t) for i, t in enumerate(node.terms))
+    if isinstance(node, Quotient):
+        return (("numerator", node.numerator), ("denominator", node.denominator))
+    if isinstance(node, (Sum, Marginal)):
+        return (("body", node.body),)
+    if isinstance(node, Factor):
+        return ()
+    raise TypeError(f"not an expression node: {node!r}")
 
-    ``_cache`` maps ``id(node)`` to ``(node, names)``; holding the node keeps
-    its id from being reused by a new node while the cache lives.
-    """
-    cache = _cache if _cache is not None else {}
 
-    def go(node) -> FrozenSet[str]:
+def _rebuild(node, parts) -> Expr:
+    """``node`` of the same kind with ``parts`` as its sub-expressions, in
+    ``_slots`` order; a factor is returned as it is."""
+    if isinstance(node, Product):
+        return Product(terms=tuple(parts))
+    if isinstance(node, Quotient):
+        return Quotient(*parts)
+    if isinstance(node, (Sum, Marginal)):
+        return type(node)(indices=node.indices, body=parts[0])
+    return node
+
+
+def _fold(e: Expr, step, cache: Dict[int, tuple]):
+    """``step(node, parts)`` applied bottom-up, where ``parts`` pairs each
+    path of ``_slots(node)`` with that sub-expression's result. Each distinct
+    node is stepped once: ``cache`` maps ``id(node)`` to ``(node, result)``;
+    holding the node keeps its id from being reused by a new node while the
+    cache lives."""
+
+    def go(node):
         hit = cache.get(id(node))
-        if hit is not None:
-            return hit[1]
-        if isinstance(node, Factor):
-            out = frozenset(
-                s.ref.name
-                for s in node.outcomes + node.given
-                if isinstance(s.ref, Var)
-            )
-        elif isinstance(node, Product):
-            out = frozenset().union(*[go(t) for t in node.terms]) if node.terms else frozenset()
-        elif isinstance(node, Quotient):
-            out = go(node.numerator) | go(node.denominator)
-        elif isinstance(node, (Sum, Marginal)):
-            out = go(node.body) - {v for v, _ in node.indices}
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        cache[id(node)] = (node, out)
-        return out
+        if hit is None:
+            parts = [(path, go(child)) for path, child in _slots(node)]
+            hit = cache[id(node)] = (node, step(node, parts))
+        return hit[1]
 
     return go(e)
+
+
+def _free_step(node, parts) -> FrozenSet[str]:
+    if isinstance(node, Factor):
+        return frozenset(s.ref.name for s in node.outcomes + node.given if isinstance(s.ref, Var))
+    out = frozenset().union(*[names for _, names in parts])
+    if isinstance(node, (Sum, Marginal)):
+        out -= {v for v, _ in node.indices}
+    return out
+
+
+def free_vars(e: Expr, _cache: Dict[int, tuple] = None) -> FrozenSet[str]:
+    """Names of variables occurring free in the expression. ``_cache`` is a
+    ``_fold`` cache that may be shared between calls."""
+    return _fold(e, _free_step, {} if _cache is None else _cache)
 
 
 def well_formed(e: Expr, allowed_free=None):
     """Scope/binding check. Returns ``(ok, problems)``.
 
-    Problems name the path to the first offending node, e.g.
-    ``sum.body.product.terms[1]: dangling index 'm'``.
+    Problems name the path to the first offending node in depth-first order,
+    e.g. ``sum.body.terms[1]: dangling index 'm'``.
     """
-    problems = []
 
-    def go(node, bound, path):
-        if problems:
-            return
+    def step(node, parts):
+        # (free variables, the first problem as a path suffix, or None)
+        problem = None
         if isinstance(node, Factor):
-            seen_vertices = set()
-            for s in node.outcomes + node.given:
-                if s.vertex in seen_vertices:
-                    problems.append(f"{path}: vertex {s.vertex!r} appears twice in one factor")
-                    return
-                seen_vertices.add(s.vertex)
-            if not node.outcomes:
-                problems.append(f"{path}: factor with no outcome slots")
-        elif isinstance(node, Product):
-            for i, t in enumerate(node.terms):
-                go(t, bound, f"{path}.terms[{i}]")
-        elif isinstance(node, Quotient):
-            go(node.numerator, bound, f"{path}.numerator")
-            go(node.denominator, bound, f"{path}.denominator")
+            vertices = [s.vertex for s in node.outcomes + node.given]
+            if len(set(vertices)) != len(vertices):
+                twice = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+                problem = f": vertex {twice!r} appears twice in one factor"
+            elif not node.outcomes:
+                problem = ": factor with no outcome slots"
         elif isinstance(node, (Sum, Marginal)):
+            [(_, (body_free, _))] = parts
             names = [v for v, _ in node.indices]
+            dangling = [name for name in names if name not in body_free]
             if len(set(names)) != len(names):
-                problems.append(f"{path}: repeated index variable in one binder")
-                return
-            body_free = free_vars(node.body)
-            for name in names:
-                if name not in body_free:
-                    problems.append(f"{path}: dangling index {name!r}")
-                    return
-            go(node.body, bound | set(names), f"{path}.body")
-        else:
-            problems.append(f"{path}: not an expression node: {node!r}")
+                problem = ": repeated index variable in one binder"
+            elif dangling:
+                problem = f": dangling index {dangling[0]!r}"
+        if problem is None:
+            problem = next((f".{path}{p}" for path, (_, p) in parts if p is not None), None)
+        return _free_step(node, [(path, free) for path, (free, _) in parts]), problem
 
-    go(e, set(), kind_name(e))
+    free, problem = _fold(e, step, {})
+    problems = [] if problem is None else [kind_name(e) + problem]
     if not problems and allowed_free is not None:
-        extra = free_vars(e) - set(allowed_free)
+        extra = free - set(allowed_free)
         if extra:
             problems.append(f"free variables not allowed at root: {sorted(extra)}")
     return (not problems, problems)
@@ -184,38 +204,33 @@ def kind_name(e: Expr) -> str:
 def substitute(e: Expr, mapping: Mapping[str, Ref]) -> Expr:
     """Replace free occurrences of variables; binders shadow as usual.
 
+    Binders are never renamed, so a replacement ``Var`` whose name a binder
+    on the way binds is captured by it; callers pick names no binder uses.
     Shared subtrees stay shared: each mapping in the walk is the input's minus
     some names, so the memo is keyed on ``(id(node), frozenset(mapping))``
-    and holds the node, as ``free_vars`` does."""
+    and holds the node, as ``_fold`` does."""
     cache: Dict[Tuple[int, FrozenSet[str]], Tuple[Expr, Expr]] = {}
+
+    def sub_slot(s: Slot, mapping) -> Slot:
+        if isinstance(s.ref, Var) and s.ref.name in mapping:
+            return Slot(s.vertex, mapping[s.ref.name])
+        return s
 
     def go(node, mapping):
         if not mapping:
             return node
         key = (id(node), frozenset(mapping))
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = (node, go_raw(node, mapping))
-        return hit[1]
-
-    def go_raw(node, mapping):
-        if isinstance(node, Factor):
-            def sub_slot(s):
-                if isinstance(s.ref, Var) and s.ref.name in mapping:
-                    return Slot(s.vertex, mapping[s.ref.name])
-                return s
-            return Factor(
-                outcomes=tuple(sub_slot(s) for s in node.outcomes),
-                given=tuple(sub_slot(s) for s in node.given),
-            )
-        if isinstance(node, Product):
-            return Product(terms=tuple(go(t, mapping) for t in node.terms))
-        if isinstance(node, Quotient):
-            return Quotient(go(node.numerator, mapping), go(node.denominator, mapping))
-        if isinstance(node, (Sum, Marginal)):
-            inner = {k: v for k, v in mapping.items() if k not in {n for n, _ in node.indices}}
-            return type(node)(indices=node.indices, body=go(node.body, inner))
-        raise TypeError(f"not an expression node: {node!r}")
+        if key not in cache:
+            if isinstance(node, Factor):
+                out = Factor(outcomes=tuple(sub_slot(s, mapping) for s in node.outcomes),
+                             given=tuple(sub_slot(s, mapping) for s in node.given))
+            else:
+                if isinstance(node, (Sum, Marginal)):
+                    bound = dict(node.indices)
+                    mapping = {k: v for k, v in mapping.items() if k not in bound}
+                out = _rebuild(node, [go(child, mapping) for _, child in _slots(node)])
+            cache[key] = (node, out)
+        return cache[key][1]
 
     return go(e, dict(mapping))
 
@@ -227,37 +242,23 @@ def simplify(e: Expr) -> Expr:
     and single-term products unwrap. Anything cleverer is left to numeric
     verification; no value is ever changed on positive tables.
     """
-
-    # id(node) -> (node, result); holding the node keeps a temporary
-    # quotient's id from being reused by the next one
     cache: Dict[int, Tuple[Expr, Expr]] = {}
 
-    def go(node) -> Expr:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit[1]
-        out = node
-        if isinstance(node, Product):
-            terms = tuple(go(t) for t in node.terms)
-            out = terms[0] if len(terms) == 1 else Product(terms=terms)
-        elif isinstance(node, Quotient):
-            num, den = go(node.numerator), go(node.denominator)
-            if isinstance(den, Quotient) and den.numerator == num:
-                out = den.denominator
-            elif (
-                isinstance(num, Quotient)
-                and isinstance(den, Quotient)
-                and num.numerator == den.numerator
-            ):
-                out = go(Quotient(den.denominator, num.denominator))
-            else:
-                out = Quotient(num, den)
-        elif isinstance(node, (Sum, Marginal)):
-            out = type(node)(indices=node.indices, body=go(node.body))
-        cache[id(node)] = (node, out)
+    def step(node, parts) -> Expr:
+        out = _rebuild(node, [p for _, p in parts])
+        if isinstance(out, Product) and len(out.terms) == 1:
+            return out.terms[0]
+        if isinstance(out, Quotient) and isinstance(out.denominator, Quotient):
+            num, den = out.numerator, out.denominator
+            if den.numerator == num:
+                return den.denominator
+            if isinstance(num, Quotient) and num.numerator == den.numerator:
+                # the cache holds this temporary quotient, so its id is not
+                # reused by the next one
+                return _fold(Quotient(den.denominator, num.denominator), step, cache)
         return out
 
-    return go(e)
+    return _fold(e, step, cache)
 
 
 # ------------------------------------------------------------------ evaluator
@@ -269,7 +270,7 @@ class Evaluator:
     dense array whose axes are those variables in sorted order; a sum over a
     product is one ``einsum`` contraction (variable elimination, Zhang &
     Poole 1994). The arrays are memoized on ``id(node)`` and hold the node,
-    as ``free_vars`` does, so one instance shares work across bindings and
+    as ``_fold`` does, so one instance shares work across bindings and
     across structurally shared subtrees. A denominator that is zero in any
     cell of its table raises, whether or not that cell is asked for.
     """
@@ -402,16 +403,20 @@ _LATEX = (
 )
 
 
+def _factor_text(node: Factor, env: Dict[str, str], bar: str) -> str:
+    outs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.outcomes)
+    if node.given:
+        givs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.given)
+        return f"p({outs}{bar}{givs})"
+    return f"p({outs})"
+
+
 def _render(e: Expr, style: Tuple[str, ...]) -> str:
     bar, quotient, wrap_quotient, sum_, index_sep, wrap_sum = style
 
     def go(node, env, wrap: bool) -> str:
         if isinstance(node, Factor):
-            outs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.outcomes)
-            if node.given:
-                givs = ", ".join(_display_ref(s.ref, env, s.vertex) for s in node.given)
-                return f"p({outs}{bar}{givs})"
-            return f"p({outs})"
+            return _factor_text(node, env, bar)
         if isinstance(node, Product):
             return " ".join(go(t, env, not isinstance(t, Factor)) for t in node.terms)
         if isinstance(node, Quotient):
@@ -448,40 +453,33 @@ def render_latex(e: Expr) -> str:
 
 
 def render_dot(e: Expr) -> str:
-    """The expression tree as a Graphviz digraph (one node per expression node)."""
-    lines = ["digraph estimand {", '  node [shape=box];']
-    counter = itertools.count()
-    ids: Dict[int, str] = {}
+    """The expression as a Graphviz digraph: one node per distinct expression
+    node, numbered in depth-first order."""
 
-    def label(node) -> str:
+    def step(node, parts) -> list:
+        # [label, children's items, dot id once emitted]
         if isinstance(node, Factor):
-            return render_text(node).replace('"', r"\"")
-        if isinstance(node, Product):
-            return "product"
-        if isinstance(node, Quotient):
-            return "quotient"
-        shown = ",".join(name for name, _ in node.indices)
-        return f"{kind_name(node)} over {shown}"
-
-    def go(node) -> str:
-        key = id(node)
-        if key in ids:
-            return ids[key]
-        nid = f"n{next(counter)}"
-        ids[key] = nid
-        lines.append(f'  {nid} [label="{label(node)}"];')
-        children = []
-        if isinstance(node, Product):
-            children = list(node.terms)
-        elif isinstance(node, Quotient):
-            children = [node.numerator, node.denominator]
+            label = _factor_text(node, {}, _TEXT[0]).replace('"', r"\"")
         elif isinstance(node, (Sum, Marginal)):
-            children = [node.body]
-        for c in children:
-            lines.append(f"  {nid} -> {go(c)};")
+            label = f"{kind_name(node)} over {','.join(name for name, _ in node.indices)}"
+        else:
+            label = kind_name(node)
+        return [label, [item for _, item in parts], None]
+
+    lines = ["digraph estimand {", '  node [shape=box];']
+    emitted = []
+
+    def emit(item) -> str:
+        label, children, nid = item
+        if nid is None:
+            nid = item[2] = f"n{len(emitted)}"
+            emitted.append(item)
+            lines.append(f'  {nid} [label="{label}"];')
+            for c in children:
+                lines.append(f"  {nid} -> {emit(c)};")
         return nid
 
-    go(e)
+    emit(_fold(e, step, {}))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -498,28 +496,24 @@ def _slot_to_dict(s: Slot) -> dict:
     return {"vertex": s.vertex, **_ref_to_dict(s.ref)}
 
 
-def _node_to_dict(node) -> dict:
-    if isinstance(node, Factor):
-        return {
-            "kind": "factor",
-            "outcomes": [_slot_to_dict(s) for s in node.outcomes],
-            "given": [_slot_to_dict(s) for s in node.given],
-        }
-    if isinstance(node, Product):
-        return {"kind": "product", "terms": [_node_to_dict(t) for t in node.terms]}
-    if isinstance(node, Quotient):
-        return {
-            "kind": "quotient",
-            "numerator": _node_to_dict(node.numerator),
-            "denominator": _node_to_dict(node.denominator),
-        }
-    if isinstance(node, (Sum, Marginal)):
-        return {
-            "kind": kind_name(node),
-            "indices": [{"var": v, "vertex": x} for v, x in node.indices],
-            "body": _node_to_dict(node.body),
-        }
-    raise TypeError(f"not an expression node: {node!r}")
+def _node_to_dict(e: Expr) -> dict:
+    """The JSON object of ``e``. A shared subtree's object is built once and
+    shared in turn, so the result's objects must not be edited in place."""
+
+    def step(node, parts) -> dict:
+        d = {"kind": kind_name(node)}
+        if isinstance(node, Factor):
+            d["outcomes"] = [_slot_to_dict(s) for s in node.outcomes]
+            d["given"] = [_slot_to_dict(s) for s in node.given]
+        elif isinstance(node, (Sum, Marginal)):
+            d["indices"] = [{"var": v, "vertex": x} for v, x in node.indices]
+        if isinstance(node, Product):
+            d["terms"] = [part for _, part in parts]
+        else:
+            d.update(parts)  # "numerator" and "denominator", or "body"
+        return d
+
+    return _fold(e, step, {})
 
 
 def to_json(e: Expr) -> str:

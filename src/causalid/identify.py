@@ -250,7 +250,10 @@ IdentificationResult = Union[Identified, NotIdentified]
 
 def _treatment_labels(query: Query, taken) -> Dict[str, str]:
     """Each treatment's value is named by its lower-cased name, primed until
-    it names no vertex of the relevant ancestral set and no earlier label."""
+    it names no vertex in ``taken`` and no earlier label. ``identify`` passes
+    every vertex of the graph: a kernel's marginals bind vertex names from the
+    whole graph, and ``substitute`` does not rename binders, so a label that
+    names any vertex could be captured by one of them."""
     taken = set(taken)
     labels = {}
     for a in query.treatments:
@@ -285,7 +288,7 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
         )
 
     ystar = set(dec.ystar)
-    labels = _treatment_labels(query, taken=ystar)
+    labels = _treatment_labels(query, taken=g.random)
     mapping: Dict[str, ex.Ref] = {}
     for v in g.random:
         if v in set(query.treatments):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -52,10 +52,3 @@ class ProbTable:
         return ProbTable(
             variables=tuple(keep), cards=tuple(self.card(v) for v in keep), values=values
         )
-
-    def prob(self, assignment: Mapping[str, int]) -> float:
-        """Probability of an assignment that binds exactly ``variables``;
-        any other assignment raises :class:`GraphError` (marginalize first)."""
-        if assignment.keys() != set(self.variables):
-            raise GraphError(f"assignment {sorted(assignment)} must bind exactly {list(self.variables)}")
-        return float(self.values[tuple(assignment[v] for v in self.variables)])

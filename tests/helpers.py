@@ -12,6 +12,7 @@ import numpy as np
 from causalid import (
     EvaluationError,
     Factor,
+    GraphError,
     Marginal,
     MixedGraph,
     NotReachable,
@@ -48,9 +49,13 @@ def chain(n: int):
     return MixedGraph(random=names, directed=list(zip(names, names[1:])))
 
 
-def random_hidden_dag(rng: pyrandom.Random, n_obs: int, n_hidden: int, p_dir: float = 0.4):
-    """Random DAG over observed V* and hidden H* vertices."""
-    names = [f"V{i}" for i in range(n_obs)] + [f"H{i}" for i in range(n_hidden)]
+def random_hidden_dag(
+    rng: pyrandom.Random, n_obs: int, n_hidden: int, p_dir: float = 0.4, observed=None
+):
+    """Random DAG over observed and hidden H* vertices. The ``n_obs``
+    observed ones are named ``observed``, or V0, V1, ... by default."""
+    observed = list(observed) if observed is not None else [f"V{i}" for i in range(n_obs)]
+    names = observed + [f"H{i}" for i in range(n_hidden)]
     order = names[:]
     rng.shuffle(order)
     directed = []
@@ -72,6 +77,16 @@ def random_query_sets(rng: pyrandom.Random, observed, max_outcomes=2, max_treatm
     n_a = rng.randint(0, min(max_treatments, len(rest)))
     treatments = rng.sample(rest, n_a)
     return sorted(outcomes), sorted(treatments)
+
+
+def prob(table: ProbTable, assignment) -> float:
+    """Probability in ``table`` of an assignment that binds exactly its
+    variables; any other assignment raises :class:`GraphError`
+    (marginalize first)."""
+    if assignment.keys() != set(table.variables):
+        raise GraphError(
+            f"assignment {sorted(assignment)} must bind exactly {list(table.variables)}")
+    return float(table.values[tuple(assignment[v] for v in table.variables)])
 
 
 def random_positive_joint(seed: int, variables, cards) -> ProbTable:
@@ -361,10 +376,10 @@ class ScalarEvaluator:
                 for slots in (node.outcomes, node.given)
             )
             all_vs = tuple(sorted(set(out_assign) | set(giv_assign)))
-            num = self._marginal(all_vs).prob({**giv_assign, **out_assign})
+            num = prob(self._marginal(all_vs), {**giv_assign, **out_assign})
             if not node.given:
                 return num
-            den = self._marginal(tuple(sorted(giv_assign))).prob(giv_assign)
+            den = prob(self._marginal(tuple(sorted(giv_assign))), giv_assign)
             if den == 0.0:
                 raise EvaluationError(
                     f"zero conditioning probability in {render_text(node)}"

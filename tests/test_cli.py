@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -70,7 +71,8 @@ def test_identify_dot(capsys):
     code, out, err = run(capsys, "identify", fixture("fig1d"),
                          "--treatment", "A", "--outcome", "Y", "--format", "dot")
     assert code == 0
-    assert out.startswith("digraph") and out.endswith("}\n")
+    # one graphviz node per distinct expression node, numbered depth-first
+    assert out == (pathlib.Path(__file__).parent / "golden_fig1d.dot").read_text()
 
 
 def test_identify_hedge_exit_one(capsys):
@@ -238,6 +240,19 @@ def test_verify_oversized_joint_is_input_error(capsys):
                          "--treatment", "A1", "--trials", "1", "--cards", "40")
     assert code == 2 and out == ""
     assert err.startswith("error: the joint over all 6 vertices has 4096000000 cells")
+
+
+def test_verify_treatment_named_like_a_vertex(capsys, tmp_path):
+    # the treatment A's value must not be labelled a, the name of a vertex
+    path = tmp_path / "case_pair.json"
+    path.write_text(MixedGraph(
+        random=["A", "H", "Y", "a"], hidden=["H"],
+        directed=[("A", "a"), ("A", "Y"), ("H", "a"), ("H", "Y")],
+    ).to_json())
+    code, out, err = run(capsys, "verify", str(path),
+                         "--treatment", "A", "--outcome", "Y", "--trials", "5")
+    assert code == 0, out
+    assert json.loads(out)["max_deviation"] < 1e-9
 
 
 def test_verify_not_identified(capsys):

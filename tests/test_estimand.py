@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random as pyrandom
@@ -89,6 +90,61 @@ def test_well_formed_empty_outcomes():
 def test_well_formed_disallowed_free():
     ok, problems = well_formed(factor(["Y"], ["A"]), allowed_free={"y"})
     assert not ok and "'a'" in problems[0]
+
+
+def test_well_formed_reports_a_shared_node_on_its_first_path():
+    # the dangling marginal is reached twice: deep under terms[0] first, and
+    # directly as terms[1]; depth-first order reports the deep path
+    dangling = Marginal(indices=(("m", "M"),), body=factor(["Y"]))
+    e = Product(terms=(
+        Quotient(factor(["A"]), Product(terms=(factor(["C"]), dangling))),
+        dangling,
+    ))
+    want = (False, ["product.terms[0].denominator.terms[1]: dangling index 'm'"])
+    assert well_formed(e) == want
+    assert well_formed(e, allowed_free=set()) == want
+    twice = factor(["Y", Slot("Y", Var("z"))])
+    e = Sum(indices=(("y", "Y"),), body=Product(terms=(
+        Marginal(indices=(("z", "Y"),), body=twice), Quotient(twice, twice))))
+    assert well_formed(e) == (
+        False, ["sum.body.terms[0].body: vertex 'Y' appears twice in one factor"])
+
+
+def doubling_chain(levels, step=lambda prev: Product(terms=(prev, prev))):
+    """A factor and ``levels`` nodes above it, each reaching the one below
+    twice: about ``2**levels`` tree nodes from ``levels + 1`` node objects
+    (plus the binders ``step`` adds)."""
+    nodes = [factor(["Y", "W"])]
+    for _ in range(levels):
+        nodes.append(step(nodes[-1]))
+    return nodes
+
+
+def test_walkers_are_linear_in_dag_nodes(monkeypatch):
+    import causalid.estimand as est
+
+    calls = []
+    slots = est._slots
+    monkeypatch.setattr(est, "_slots", lambda node: calls.append(node) or slots(node))
+
+    def per_node(walk, e):
+        # the expression stays out of the asserts: its repr is a 2**40 tree
+        calls.clear()
+        walk(e)
+        return collections.Counter(map(id, calls)).values()
+
+    nodes = doubling_chain(40)
+    for walk in (free_vars, lambda e: well_formed(e, allowed_free={"y", "w"}), simplify,
+                 est.render_dot, est._node_to_dict,
+                 lambda e: substitute(e, {"y": Var("z")})):
+        counts = per_node(walk, nodes[-1])
+        assert max(counts) == 1 and len(counts) >= len(nodes) - 1
+    # under the binders, the nodes below are also reached with {w} alone;
+    # each (node, mapping) is stepped once
+    nodes = doubling_chain(
+        40, lambda prev: Product(terms=(prev, Marginal(indices=(("y", "Y"),), body=prev))))
+    counts = per_node(lambda e: substitute(e, {"y": Var("z"), "w": Var("v")}), nodes[-1])
+    assert max(counts) == 2
 
 
 def test_substitute_shadowing():

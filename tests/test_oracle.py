@@ -3,6 +3,8 @@ import random as pyrandom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalid import (
     Const,
@@ -15,6 +17,7 @@ from causalid import (
     Slot,
     ProbTable,
     Var,
+    failure_characterizations,
     identify,
     interventional,
     observed_joint,
@@ -22,7 +25,7 @@ from causalid import (
     verify,
 )
 from causalid.oracle import MAX_JOINT_CELLS, POSITIVITY_FLOOR, DiscreteScm
-from helpers import brute_table, chain, random_hidden_dag
+from helpers import brute_table, chain, prob, random_hidden_dag, random_query_sets
 
 
 def binary_cards(g):
@@ -271,6 +274,36 @@ def test_verify_random_hidden_dags_smoke():
     assert verified > 5
 
 
+def test_a_treatment_label_is_not_captured_by_a_vertex_of_that_name():
+    # the kernel of {Y} sums over the vertex a; labelling A's value a too
+    # would put the treatment under that sum
+    g = MixedGraph(random=["A", "Y", "a"], directed=[("A", "a"), ("A", "Y")])
+    q = Query(outcomes=("Y",), treatments=("A",))
+    res = identify(g, q)
+    assert res.treatment_labels == {"A": "a'"}
+    for seed in range(3):
+        report = verify(random_scm(g, binary_cards(g), seed=seed), q, res, tol=1e-9)
+        assert report.passed, (seed, report.max_deviation)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_identify_agrees_with_the_oracle_on_case_paired_names(seed):
+    # vertex names that differ only in case, so treatment labels (A -> a)
+    # meet vertex names
+    rng = pyrandom.Random(seed)
+    observed = rng.sample(["A", "a", "B", "b", "Y", "y"], rng.randint(3, 6))
+    g = random_hidden_dag(rng, len(observed), rng.randint(1, 2), observed=observed)
+    proj = g.latent_project()
+    outcomes, treatments = random_query_sets(rng, observed)
+    q = Query(outcomes=tuple(outcomes), treatments=tuple(treatments))
+    res = identify(proj, q)
+    assert failure_characterizations(proj, q).as_tuple() == (not res.identified,) * 3
+    if res.identified:
+        report = verify(random_scm(g, binary_cards(g), seed=seed), q, res, tol=1e-9)
+        assert report.passed, report.max_deviation
+
+
 def test_verify_reports_its_worst_point(fig1b, fig1c):
     import dataclasses
 
@@ -284,12 +317,12 @@ def test_verify_reports_its_worst_point(fig1b, fig1c):
     assert sorted(worst) == ["A1", "A2", "Y"]
     ev = Evaluator(observed_joint(scm))
     truth = interventional(scm, {"A1": worst["A1"], "A2": worst["A2"]}, ("Y",))
-    assert report.want == truth.prob({"Y": worst["Y"]})
+    assert report.want == prob(truth, {"Y": worst["Y"]})
     assert report.got == ev.evaluate(wrong, {"a1": worst["A1"], "a2": worst["A2"], "Y": worst["Y"]})
     assert report.max_deviation == abs(report.got - report.want)
     # no other point deviates more
     for a1, a2, y in itertools.product(range(2), repeat=3):
-        want = interventional(scm, {"A1": a1, "A2": a2}, ("Y",)).prob({"Y": y})
+        want = prob(interventional(scm, {"A1": a1, "A2": a2}, ("Y",)), {"Y": y})
         got = ev.evaluate(wrong, {"a1": a1, "a2": a2, "Y": y})
         assert abs(got - want) <= report.max_deviation
     assert report.to_dict()["worst_point"] == {

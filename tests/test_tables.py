@@ -6,7 +6,7 @@ import random as pyrandom
 import pytest
 
 from causalid import GraphError
-from helpers import random_positive_joint
+from helpers import prob, random_positive_joint
 
 VARIABLES = ("A", "B", "C")
 CARDS = (2, 3, 2)
@@ -16,7 +16,7 @@ def test_prob_indexes_a_full_assignment():
     joint = random_positive_joint(11, VARIABLES, CARDS)
     for idx in itertools.product(*map(range, CARDS)):
         assignment = dict(zip(reversed(VARIABLES), reversed(idx)))  # key order is free
-        assert joint.prob(assignment) == float(joint.values[idx])
+        assert prob(joint, assignment) == float(joint.values[idx])
 
 
 @pytest.mark.parametrize("keep", [("A",), ("C", "A"), ("B", "C")])
@@ -26,7 +26,7 @@ def test_prob_of_a_marginal(keep):
     assert marg.variables == tuple(sorted(keep))
     for idx in itertools.product(*(range(joint.card(v)) for v in marg.variables)):
         assignment = dict(zip(marg.variables, idx))
-        got = marg.prob(assignment)
+        got = prob(marg, assignment)
         assert got == float(joint.marginal(keep).values[idx])
         brute = sum(
             float(joint.values[full])
@@ -64,4 +64,4 @@ def test_marginal_matches_brute_force_sums():
 def test_prob_rejects_any_other_assignment(assignment):
     joint = random_positive_joint(13, VARIABLES, CARDS)
     with pytest.raises(GraphError, match="bind exactly"):
-        joint.prob(assignment)
+        prob(joint, assignment)
