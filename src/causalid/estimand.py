@@ -26,9 +26,9 @@ walks them as trees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Mapping, Tuple, Union
 
+from ._record import Record
 from .errors import EvaluationError, ExpressionParseError
 
 if TYPE_CHECKING:  # numpy-backed; imported only for annotations
@@ -41,58 +41,79 @@ SCHEMA_VERSION = 1
 
 # ----------------------------------------------------------------- node types
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """Reference to an index/outcome/treatment variable by name."""
 
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
-class Const:
+
+class Const(Record):
     """A concrete value plugged directly into a factor slot."""
 
     value: int
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
 Ref = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(Record):
     """One variable position in a factor: which vertex, bound to what."""
 
     vertex: str
     ref: Ref
 
+    def __init__(self, vertex: str, ref: Ref):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "ref", ref)
 
-@dataclass(frozen=True)
-class Factor:
+
+class Factor(Record):
     outcomes: Tuple[Slot, ...]
-    given: Tuple[Slot, ...] = ()
+    given: Tuple[Slot, ...]
+
+    def __init__(self, outcomes: Tuple[Slot, ...], given: Tuple[Slot, ...] = ()):
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "given", given)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     terms: Tuple["Expr", ...]
 
+    def __init__(self, terms: Tuple["Expr", ...]):
+        object.__setattr__(self, "terms", terms)
 
-@dataclass(frozen=True)
-class Quotient:
+
+class Quotient(Record):
     numerator: "Expr"
     denominator: "Expr"
 
+    def __init__(self, numerator: "Expr", denominator: "Expr"):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
-@dataclass(frozen=True)
-class Sum:
+
+class Sum(Record):
     indices: Tuple[Tuple[str, str], ...]  # (variable name, vertex) pairs
     body: "Expr"
 
+    def __init__(self, indices: Tuple[Tuple[str, str], ...], body: "Expr"):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "body", body)
 
-@dataclass(frozen=True)
-class Marginal:
+
+class Marginal(Record):
     indices: Tuple[Tuple[str, str], ...]
     body: "Expr"
+
+    def __init__(self, indices: Tuple[Tuple[str, str], ...], body: "Expr"):
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "body", body)
 
 
 Expr = Union[Factor, Product, Quotient, Sum, Marginal]

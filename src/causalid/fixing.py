@@ -8,15 +8,14 @@ fixes the first fixable one and never backtracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple, Union
 
+from ._record import Record
 from .errors import GraphError, NotFixableError, UnknownVertexError
 from .graph import MixedGraph
 
 
-@dataclass(frozen=True)
-class FixingSequence:
+class FixingSequence(Record):
     """An ordered, replayable sequence of fixed vertices.
 
     ``descendants[i]`` is the descendant set of ``steps[i]`` in the CADMG
@@ -26,9 +25,11 @@ class FixingSequence:
     """
 
     steps: Tuple[str, ...]
-    descendants: Tuple[FrozenSet[str], ...] = ()
+    descendants: Tuple[FrozenSet[str], ...]
 
-    def __post_init__(self):
+    def __init__(self, steps: Tuple[str, ...], descendants: Tuple[FrozenSet[str], ...] = ()):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "descendants", descendants)
         if len(set(self.steps)) != len(self.steps):
             raise GraphError(f"fixing sequence has repeated steps: {list(self.steps)}")
         if self.descendants and len(self.descendants) != len(self.steps):
@@ -41,11 +42,13 @@ class FixingSequence:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class NotReachable:
+class NotReachable(Record):
     """Greedy search got stuck: ``residual`` could not be fixed."""
 
     residual: Tuple[str, ...]
+
+    def __init__(self, residual: Tuple[str, ...]):
+        object.__setattr__(self, "residual", residual)
 
 
 def is_fixable(g: MixedGraph, r: str) -> bool:

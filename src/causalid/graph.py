@@ -183,15 +183,17 @@ class MixedGraph:
                 if indeg[c] == 0:
                     queue.append(c)
         if seen != len(indeg):
-            # extract one cycle among the leftover vertices for the error message
+            # extract one cycle among the leftover vertices for the error
+            # message: every leftover vertex has a leftover parent, but one
+            # downstream of a cycle may have no leftover child
             leftover = {v for v, d in indeg.items() if d > 0}
-            start = min(leftover)
-            path, cur = [start], start
-            while True:
-                cur = min(c for c in ch[cur] if c in leftover)
-                if cur in path:
-                    raise CycleError(path[path.index(cur):])
+            path, cur = [], min(leftover)
+            while cur not in path:
                 path.append(cur)
+                cur = min(t for t, h in self.directed if h == cur and t in leftover)
+            cycle = path[path.index(cur):][::-1]  # walked against the edges
+            least = cycle.index(min(cycle))
+            raise CycleError(cycle[least:] + cycle[:least])
 
     # --------------------------------------------------------------- ancestry
 

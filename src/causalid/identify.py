@@ -11,10 +11,10 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import estimand as ex
+from ._record import Record
 from .errors import GraphError, QueryError
 from .fixing import NotReachable, find_valid_sequence, is_intrinsic, reachable_closure
 from .graph import MixedGraph
@@ -22,16 +22,15 @@ from .graph import MixedGraph
 
 # ---------------------------------------------------------------------- query
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """An interventional query p(outcomes | do(treatments))."""
 
     outcomes: Tuple[str, ...]
-    treatments: Tuple[str, ...] = ()
+    treatments: Tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(sorted(set(self.outcomes))))
-        object.__setattr__(self, "treatments", tuple(sorted(set(self.treatments))))
+    def __init__(self, outcomes: Iterable[str], treatments: Iterable[str] = ()):
+        object.__setattr__(self, "outcomes", tuple(sorted(set(outcomes))))
+        object.__setattr__(self, "treatments", tuple(sorted(set(treatments))))
 
     def validate(self, g: MixedGraph) -> None:
         if not self.outcomes:
@@ -54,11 +53,15 @@ def _require_admg(g: MixedGraph) -> None:
 
 # -------------------------------------------------------------- decomposition
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     ystar: Tuple[str, ...]
     districts: Tuple[Tuple[str, ...], ...]
     contexts: Mapping[Tuple[str, ...], Tuple[str, ...]]
+
+    def __init__(self, ystar, districts, contexts):
+        object.__setattr__(self, "ystar", ystar)
+        object.__setattr__(self, "districts", districts)
+        object.__setattr__(self, "contexts", contexts)
 
 
 def decompose(g: MixedGraph, query: Query) -> Decomposition:
@@ -121,14 +124,18 @@ def _kernel(g: MixedGraph, d) -> Union[ex.Expr, NotReachable]:
 
 # --------------------------------------------------------------- hedge checks
 
-@dataclass(frozen=True)
-class HedgeWitness:
+class HedgeWitness(Record):
     """A hedge as sorted vertex names: the inner C-forest, the outer C-forest
     that strictly contains it, and the roots they share."""
 
     inner: Tuple[str, ...]
     outer: Tuple[str, ...]
     roots: Tuple[str, ...]
+
+    def __init__(self, inner: Tuple[str, ...], outer: Tuple[str, ...], roots: Tuple[str, ...]):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "roots", roots)
 
     def to_dict(self) -> dict:
         return {"inner": list(self.inner), "outer": list(self.outer), "roots": list(self.roots)}
@@ -188,13 +195,19 @@ def is_hedge(g: MixedGraph, query: Query, witness: HedgeWitness) -> bool:
 
 # ------------------------------------------------------------------- assembly
 
-@dataclass(frozen=True)
-class Identified:
+class Identified(Record):
     graph: MixedGraph
     query: Query
     estimand: ex.Expr
     districts: Tuple[Tuple[Tuple[str, ...], ex.Expr, Tuple[str, ...]], ...]
     treatment_labels: Mapping[str, str]
+
+    def __init__(self, graph, query, estimand, districts, treatment_labels):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "estimand", estimand)
+        object.__setattr__(self, "districts", districts)
+        object.__setattr__(self, "treatment_labels", treatment_labels)
 
     @property
     def identified(self) -> bool:
@@ -215,12 +228,17 @@ class Identified:
         }
 
 
-@dataclass(frozen=True)
-class NotIdentified:
+class NotIdentified(Record):
     graph: MixedGraph
     query: Query
     witness: HedgeWitness
     failing_districts: Tuple[Tuple[str, ...], ...]
+
+    def __init__(self, graph, query, witness, failing_districts):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "query", query)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "failing_districts", failing_districts)
 
     @property
     def identified(self) -> bool:
@@ -314,11 +332,15 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
 
 # -------------------------------------------------- failure characterizations
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(Record):
     hedge_exists: bool
     some_district_not_intrinsic: bool
     some_district_proper_closure: bool
+
+    def __init__(self, hedge_exists, some_district_not_intrinsic, some_district_proper_closure):
+        object.__setattr__(self, "hedge_exists", hedge_exists)
+        object.__setattr__(self, "some_district_not_intrinsic", some_district_not_intrinsic)
+        object.__setattr__(self, "some_district_proper_closure", some_district_proper_closure)
 
     def as_tuple(self) -> Tuple[bool, bool, bool]:
         return (

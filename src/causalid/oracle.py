@@ -8,11 +8,11 @@ is desk-sized graphs (a handful of variables with small cardinalities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import GraphError
 from .estimand import Evaluator
 from .graph import MixedGraph
@@ -41,8 +41,7 @@ def _check_cards(g: MixedGraph, cards: Mapping[str, int]) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteScm:
+class DiscreteScm(Record, eq=False):
     """A DAG (possibly with hidden vertices) plus one CPT per vertex.
 
     CPT axes are the vertex's parents in lexicographic order followed by the
@@ -55,7 +54,12 @@ class DiscreteScm:
     cards: Mapping[str, int]
     cpts: Mapping[str, np.ndarray]
 
-    def __post_init__(self):
+    def __init__(
+        self, graph: MixedGraph, cards: Mapping[str, int], cpts: Mapping[str, np.ndarray]
+    ):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "cpts", cpts)
         g = self.graph
         if g.bidirected or g.fixed:
             raise GraphError("an SCM graph must be a DAG (hidden vertices allowed)")
@@ -159,8 +163,7 @@ def interventional(
     return ProbTable(kept, tuple(scm.cards[v] for v in kept), values[at])
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """The comparison over every point. ``worst`` assigns a value to each
     outcome and treatment at a point of largest deviation, where the
     estimand gives ``got`` and the truth ``want``. A NaN deviation fails."""
@@ -171,6 +174,14 @@ class VerificationReport:
     worst: Mapping[str, int]
     got: float
     want: float
+
+    def __init__(self, max_deviation, tolerance, points, worst, got, want):
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "got", got)
+        object.__setattr__(self, "want", want)
 
     @property
     def passed(self) -> bool:

@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import GraphError
 
 
-@dataclass(frozen=True, eq=False)
-class ProbTable:
+class ProbTable(Record, eq=False):
     """A joint distribution stored densely, axes in ``variables`` order."""
 
     variables: Tuple[str, ...]
     cards: Tuple[int, ...]
     values: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, variables: Tuple[str, ...], cards: Tuple[int, ...], values: np.ndarray):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "values", values)
         if len(self.variables) != len(self.cards):
             raise GraphError("variables and cardinalities differ in length")
         if tuple(self.values.shape) != tuple(self.cards):

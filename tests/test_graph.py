@@ -29,6 +29,14 @@ def test_rejects_cycle():
     assert "A" in str(err.value) and "B" in str(err.value)
 
 
+def test_rejects_cycle_upstream_of_a_lesser_vertex():
+    # A is left over by the topological sort but has no child on the cycle
+    with pytest.raises(CycleError) as err:
+        MixedGraph(random=["A", "B", "C"], directed=[("B", "C"), ("C", "B"), ("B", "A")])
+    assert err.value.cycle == ["B", "C"]
+    assert str(err.value) == "cycle detected: B -> C -> B"
+
+
 def test_rejects_self_loop():
     with pytest.raises(GraphError):
         MixedGraph(random=["A"], directed=[("A", "A")])

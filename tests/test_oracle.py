@@ -32,6 +32,12 @@ def binary_cards(g):
     return {v: 2 for v in g.random}
 
 
+def with_estimand(res, estimand):
+    """``res`` with its estimand replaced, built with the public constructor."""
+    return Identified(graph=res.graph, query=res.query, estimand=estimand,
+                      districts=res.districts, treatment_labels=res.treatment_labels)
+
+
 # ----------------------------------------------------------------- generator
 
 def test_random_scm_is_deterministic(fig1b):
@@ -216,13 +222,11 @@ def test_verify_accepts_correct_estimand(fig1b, fig1c):
 
 
 def test_verify_rejects_corrupted_estimand(fig1b, fig1c):
-    import dataclasses
-
     q = Query(outcomes=("Y",), treatments=("A1", "A2"))
     res = identify(fig1c, q)
     wrong = Factor(outcomes=(Slot("Y", Var("Y")),),
                    given=(Slot("A1", Var("a1")), Slot("A2", Var("a2"))))
-    corrupted = dataclasses.replace(res, estimand=wrong)
+    corrupted = with_estimand(res, wrong)
     scm = random_scm(fig1b, binary_cards(fig1b), seed=17)
     report = verify(scm, q, corrupted)
     assert not report.passed
@@ -305,14 +309,12 @@ def test_identify_agrees_with_the_oracle_on_case_paired_names(seed):
 
 
 def test_verify_reports_its_worst_point(fig1b, fig1c):
-    import dataclasses
-
     q = Query(outcomes=("Y",), treatments=("A1", "A2"))
     res = identify(fig1c, q)
     wrong = Factor(outcomes=(Slot("Y", Var("Y")),),
                    given=(Slot("A1", Var("a1")), Slot("A2", Var("a2"))))
     scm = random_scm(fig1b, binary_cards(fig1b), seed=17)
-    report = verify(scm, q, dataclasses.replace(res, estimand=wrong))
+    report = verify(scm, q, with_estimand(res, wrong))
     worst = report.worst
     assert sorted(worst) == ["A1", "A2", "Y"]
     ev = Evaluator(observed_joint(scm))
