@@ -619,13 +619,15 @@ def _node_from_dict(d: dict, path: str):
 def from_json(text: str) -> Expr:
     try:
         data = json.loads(text)
+        if not isinstance(data, dict) or "expr" not in data:
+            raise ExpressionParseError("top level must be an object with an 'expr' key")
+        version = data.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ExpressionParseError(f"unsupported schema_version: {version!r}")
+        return _node_from_dict(data["expr"], "expr")
     except json.JSONDecodeError as exc:
         raise ExpressionParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(data, dict) or "expr" not in data:
-        raise ExpressionParseError("top level must be an object with an 'expr' key")
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ExpressionParseError(f"unsupported schema_version: {version!r}")
-    return _node_from_dict(data["expr"], "expr")
+    except RecursionError:  # in the JSON decoder or in the walk over its nodes
+        raise ExpressionParseError("expression JSON nested too deeply") from None

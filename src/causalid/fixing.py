@@ -4,11 +4,16 @@ Fixing never adds edges, so a vertex that is fixable stays fixable as other
 vertices are fixed. The greedy search below exploits this: it tries targets
 sinks first (fewest descendants in the input graph, then name), repeatedly
 fixes the first fixable one and never backtracks.
+
+Fixing only removes edges with an arrowhead at the fixed vertex, so in a CADMG
+reached from ``g`` the descendants and district of a random vertex are those
+in ``g`` within the random vertices still unfixed. The search asks ``g`` by
+that set and builds no CADMG; only ``fix`` and ``fix_all`` build one.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import AbstractSet, FrozenSet, Iterable, Optional, Tuple, Union
 
 from ._record import Record
 from .errors import GraphError, NotFixableError, UnknownVertexError
@@ -51,31 +56,24 @@ class NotReachable(Record):
         object.__setattr__(self, "residual", residual)
 
 
-def is_fixable(g: MixedGraph, r: str) -> bool:
+def is_fixable(g: MixedGraph, r: str, within: Optional[AbstractSet[str]] = None) -> bool:
     """True iff no other vertex is both a descendant of ``r`` and bidirected-
-    connected to ``r`` among the random vertices."""
-    if r not in set(g.random):
-        if r in set(g.fixed):
-            raise GraphError(f"{r!r} is already fixed")
-        raise UnknownVertexError(r)
-    return g.descendants({r}) & g.district_of(r) == {r}
+    connected to ``r`` among the random vertices, in the subgraph induced by
+    ``within`` when it is given."""
+    if r in g.fixed:
+        raise GraphError(f"{r!r} is already fixed")
+    return g.descendants({r}, within=within) & g.district_of(r, within=within) == {r}
 
 
 def fix(g: MixedGraph, r: str) -> MixedGraph:
     """Move ``r`` to the fixed set, dropping every edge with an arrowhead at it."""
     if not is_fixable(g, r):
         raise NotFixableError(f"{r!r} is not fixable")
-    return _fix(g, r)
-
-
-def _fix(g: MixedGraph, r: str) -> MixedGraph:
-    """``fix`` without the fixability check, for a caller that has just made it."""
-    return MixedGraph._derived(
-        random=tuple(v for v in g.random if v != r),
-        fixed=tuple(sorted(g.fixed + (r,))),
-        hidden=frozenset(),
-        directed=frozenset((t, h) for t, h in g.directed if h != r),
-        bidirected=frozenset(e for e in g.bidirected if r not in e),
+    return MixedGraph(
+        random=(v for v in g.random if v != r),
+        fixed=g.fixed + (r,),
+        directed=((t, h) for t, h in g.directed if h != r),
+        bidirected=(e for e in g.bidirected if r not in e),
     )
 
 
@@ -102,21 +100,22 @@ def find_valid_sequence(
     reaches the same kernel, and fixing a vertex with no descendants left
     is a plain marginalization, so this order keeps kernels small. Each
     step records its vertex's descendants where it was fixed, which is all
-    kernel synthesis needs of the CADMGs along the way.
+    kernel synthesis needs of the CADMGs along the way. No CADMG is built:
+    ``left``, the random vertices not yet fixed, stands for the current one.
     """
     remaining = set(targets)
     unknown = remaining - set(g.random)
     if unknown:
         raise UnknownVertexError(sorted(unknown)[0])
     order = sorted(remaining, key=lambda v: (len(g.descendants({v})), v))
-    cur = g
+    left = set(g.random)
     steps, descendants = [], []
     while order:
         for i, r in enumerate(order):
-            if is_fixable(cur, r):
+            if is_fixable(g, r, within=left):
                 steps.append(r)
-                descendants.append(cur.descendants({r}))
-                cur = _fix(cur, r)
+                descendants.append(g.descendants({r}, within=left))
+                left.remove(r)
                 del order[i]
                 break
         else:
@@ -145,7 +144,6 @@ def is_intrinsic(g: MixedGraph, d: Iterable[str]) -> bool:
     d = set(d)
     if not d:
         raise GraphError("intrinsic-set test requires a nonempty set")
-    sub = g.induced_subgraph(d)
-    if len(sub.districts()) != 1:
+    if len(g.districts(within=d)) != 1:
         return False
     return reachable_closure(g, d) == d

@@ -10,12 +10,16 @@ A single :class:`MixedGraph` covers three shapes of input:
 All graphs are immutable after construction; every operation returns a new
 graph or a plain value. Sets are externalized in sorted order so outputs are
 deterministic.
+
+The structural queries ``ancestors``, ``descendants``, ``district_of`` and
+``districts`` take an optional ``within``, a set of vertices: the query is then
+asked of the subgraph induced by that set, which is never built.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import CycleError, GraphError, QueryError, UnknownVertexError
 
@@ -68,36 +72,15 @@ class MixedGraph:
         directed: Iterable[Tuple[str, str]] = (),
         bidirected: Iterable[Iterable[str]] = (),
     ):
-        self._assign(
-            tuple(sorted({_check_name(v) for v in random})),
-            tuple(sorted({_check_name(v) for v in fixed})),
-            frozenset(_check_name(v) for v in hidden),
-            frozenset(_edge(e, "directed") for e in directed),
-            frozenset(frozenset(_edge(e, "bidirected")) for e in bidirected),
+        object.__setattr__(self, "random", tuple(sorted({_check_name(v) for v in random})))
+        object.__setattr__(self, "fixed", tuple(sorted({_check_name(v) for v in fixed})))
+        object.__setattr__(self, "hidden", frozenset(_check_name(v) for v in hidden))
+        object.__setattr__(self, "directed", frozenset(_edge(e, "directed") for e in directed))
+        object.__setattr__(
+            self, "bidirected", frozenset(frozenset(_edge(e, "bidirected")) for e in bidirected)
         )
         self._validate()
         self._index()
-
-    @classmethod
-    def _derived(cls, random, fixed, hidden, directed, bidirected) -> "MixedGraph":
-        """A graph cut from a valid one, built without re-validation.
-
-        The caller passes the fields in normalized form (sorted tuples of
-        names, a frozenset of names, a frozenset of ``(tail, head)`` tuples and
-        a frozenset of two-element frozensets), so the result is equal, with an
-        equal hash, to what the validating constructor would build.
-        """
-        g = cls.__new__(cls)
-        g._assign(random, fixed, hidden, directed, bidirected)
-        g._index()
-        return g
-
-    def _assign(self, rnd, fxd, hid, dedges, bedges) -> None:
-        object.__setattr__(self, "random", rnd)
-        object.__setattr__(self, "fixed", fxd)
-        object.__setattr__(self, "hidden", hid)
-        object.__setattr__(self, "directed", dedges)
-        object.__setattr__(self, "bidirected", bedges)
 
     def _index(self) -> None:
         pa: Dict[str, Set[str]] = {v: set() for v in self.vertices}
@@ -118,21 +101,27 @@ class MixedGraph:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("MixedGraph is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the validating constructor,
+        # since no slot can be set on an existing graph
+        return (type(self), (self.random, self.fixed, self.hidden, self.directed, self.bidirected))
+
     # ------------------------------------------------------------------ basics
 
     @property
     def vertices(self) -> Tuple[str, ...]:
         return tuple(sorted(self.random + self.fixed))
 
-    def is_random(self, v: str) -> bool:
-        return v in set(self.random)
-
-    def _require(self, vs: Iterable[str]) -> Set[str]:
-        known = set(self.random) | set(self.fixed)
+    def _require(self, vs: Iterable[str], within: Optional[AbstractSet[str]] = None) -> Set[str]:
+        """``vs`` as a set, refused unless it lies in the graph, or in its
+        subgraph induced by ``within``."""
         vs = set(vs)
-        for v in vs:
-            if v not in known:
-                raise UnknownVertexError(v)
+        if within is None:
+            unknown = vs - self._pa.keys()
+        else:
+            unknown = (within - self._pa.keys()) | (vs - within)
+        if unknown:
+            raise UnknownVertexError(min(unknown))
         return vs
 
     def _validate(self) -> None:
@@ -212,44 +201,49 @@ class MixedGraph:
             out |= self._ch[v]
         return frozenset(out - vs)
 
-    def _closure(self, vs: Set[str], step: Dict[str, Set[str]]) -> FrozenSet[str]:
+    def _closure(self, vs: Set[str], step: Dict[str, Set[str]], within=None) -> FrozenSet[str]:
+        within = step if within is None else within  # step has every vertex as a key
         out = set(vs)
         frontier = list(vs)
         while frontier:
-            nxt = step[frontier.pop()]
-            for u in nxt:
-                if u not in out:
+            for u in step[frontier.pop()]:
+                if u not in out and u in within:
                     out.add(u)
                     frontier.append(u)
         return frozenset(out)
 
-    def ancestors(self, vs: Iterable[str]) -> FrozenSet[str]:
+    def ancestors(
+        self, vs: Iterable[str], within: Optional[AbstractSet[str]] = None
+    ) -> FrozenSet[str]:
         """Reflexive-transitive closure along incoming directed edges."""
-        return self._closure(self._require(vs), self._pa)
+        return self._closure(self._require(vs, within), self._pa, within)
 
-    def descendants(self, vs: Iterable[str]) -> FrozenSet[str]:
+    def descendants(
+        self, vs: Iterable[str], within: Optional[AbstractSet[str]] = None
+    ) -> FrozenSet[str]:
         """Reflexive-transitive closure along outgoing directed edges."""
-        return self._closure(self._require(vs), self._ch)
+        return self._closure(self._require(vs, within), self._ch, within)
 
     # -------------------------------------------------------------- districts
 
-    def district_of(self, v: str) -> FrozenSet[str]:
+    def district_of(self, v: str, within: Optional[AbstractSet[str]] = None) -> FrozenSet[str]:
         """Bidirected-connected component of ``v`` among random vertices."""
-        self._require([v])
-        if not self.is_random(v):
+        self._require([v], within)
+        if v in self.fixed:
             raise GraphError(f"district_of requires a random vertex, {v!r} is fixed")
-        return self._closure({v}, self._sib)
+        return self._closure({v}, self._sib, within)
 
-    def districts(self) -> List[Tuple[str, ...]]:
+    def districts(self, within: Optional[AbstractSet[str]] = None) -> List[Tuple[str, ...]]:
         """Partition of the random vertices into bidirected-connected blocks.
 
         Blocks are sorted by their least vertex name.
         """
+        scope = self._require(self.random if within is None else within) - set(self.fixed)
         seen: Set[str] = set()
         blocks: List[Tuple[str, ...]] = []
-        for v in self.random:
+        for v in scope:
             if v not in seen:
-                block = self.district_of(v)
+                block = self._closure({v}, self._sib, scope)
                 seen |= block
                 blocks.append(tuple(sorted(block)))
         blocks.sort(key=lambda b: b[0])
@@ -259,12 +253,12 @@ class MixedGraph:
 
     def induced_subgraph(self, vs: Iterable[str]) -> "MixedGraph":
         vs = self._require(vs)
-        return MixedGraph._derived(
-            random=tuple(v for v in self.random if v in vs),
-            fixed=tuple(v for v in self.fixed if v in vs),
+        return MixedGraph(
+            random=(v for v in self.random if v in vs),
+            fixed=(v for v in self.fixed if v in vs),
             hidden=self.hidden & vs,
-            directed=frozenset((t, h) for t, h in self.directed if t in vs and h in vs),
-            bidirected=frozenset(e for e in self.bidirected if e <= vs),
+            directed=((t, h) for t, h in self.directed if t in vs and h in vs),
+            bidirected=(e for e in self.bidirected if e <= vs),
         )
 
     def ancestral_avoiding(self, outcomes: Iterable[str], avoid: Iterable[str]) -> FrozenSet[str]:
@@ -279,8 +273,7 @@ class MixedGraph:
             raise QueryError(
                 f"outcome set intersects avoided set: {sorted(outcomes & avoid)}"
             )
-        keep = (set(self.random) | set(self.fixed)) - avoid
-        return self.induced_subgraph(keep).ancestors(outcomes)
+        return self.ancestors(outcomes, within=self._pa.keys() - avoid)
 
     # ------------------------------------------------------ latent projection
 
@@ -372,6 +365,8 @@ class MixedGraph:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
+        except RecursionError:
+            raise GraphError("invalid graph JSON: nested too deeply") from None
         return cls.from_dict(data)
 
     # --------------------------------------------------------------- equality

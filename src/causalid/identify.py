@@ -74,16 +74,16 @@ def decompose(g: MixedGraph, query: Query) -> Decomposition:
     """
     _require_admg(g)
     query.validate(g)
-    ystar = tuple(sorted(g.ancestral_avoiding(query.outcomes, query.treatments)))
-    districts = tuple(g.induced_subgraph(ystar).districts())
+    ystar = g.ancestral_avoiding(query.outcomes, query.treatments)
+    districts = tuple(g.districts(within=ystar))
     contexts = {d: tuple(sorted(g.parents(d))) for d in districts}
-    return Decomposition(ystar=ystar, districts=districts, contexts=contexts)
+    return Decomposition(ystar=tuple(sorted(ystar)), districts=districts, contexts=contexts)
 
 
 # ----------------------------------------------------------- kernel synthesis
 
 def _require_connected(g: MixedGraph, d) -> None:
-    if len(g.induced_subgraph(d).districts()) != 1:
+    if len(g.districts(within=d)) != 1:
         raise GraphError(f"district {sorted(d)} is not bidirected-connected")
 
 
@@ -144,10 +144,9 @@ class HedgeWitness(Record):
 def _hedge(g: MixedGraph, d, closure) -> HedgeWitness:
     """The district ``d`` nested inside its reachable ``closure``, rooted at
     the district's childless vertices."""
-    d = tuple(sorted(d))
-    sub_d = g.induced_subgraph(d)
-    roots = tuple(v for v in d if not sub_d.children({v}))
-    return HedgeWitness(inner=d, outer=tuple(sorted(closure)), roots=roots)
+    d = set(d)
+    roots = tuple(sorted(v for v in d if not g.children({v}) & d))
+    return HedgeWitness(inner=tuple(sorted(d)), outer=tuple(sorted(closure)), roots=roots)
 
 
 def find_hedge(g: MixedGraph, query: Query, district) -> HedgeWitness:
@@ -169,12 +168,11 @@ def hedge_violation(g: MixedGraph, query: Query, witness: HedgeWitness) -> Optio
     if not roots or not roots <= f_in:
         return "roots-not-inside-inner-forest"
     for name, vs in (("inner", f_in), ("outer", f_out)):
-        sub = g.induced_subgraph(vs)
-        if len(sub.districts()) != 1:
+        if len(g.districts(within=vs)) != 1:
             return f"{name}-not-bidirected-connected"
         # a spanning in-forest toward the roots exists exactly when every
         # vertex reaches a root inside the forest
-        if not vs <= sub.ancestors(roots & vs):
+        if not vs <= g.ancestors(roots & vs, within=vs):
             return f"{name}-not-rooted"
     if not f_in < f_out:
         return "inner-forest-not-strictly-inside-outer"

@@ -144,6 +144,15 @@ def test_malformed_graph_json_is_input_error(capsys, tmp_path):
         assert err.startswith("error: "), fields
 
 
+def test_deeply_nested_graph_json_is_input_error(capsys, tmp_path):
+    # the JSON decoder gives up on this nesting with a RecursionError
+    path = tmp_path / "g.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "districts", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid graph JSON: nested too deeply\n"
+
+
 NAME = st.sampled_from(["A", "B", "C", "D"])
 JUNK = st.one_of(st.integers(-1, 2), st.none(), st.sampled_from(["", "A B", "A|B", "AB"]),
                  st.lists(NAME, max_size=3))

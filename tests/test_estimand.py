@@ -475,6 +475,16 @@ def test_json_parse_errors_carry_paths(expr, prefix):
         from_json(text)
 
 
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_json_nested_too_deeply_is_a_parse_error(depth):
+    # depending on the interpreter, the JSON decoder or the walk over the
+    # decoded nodes runs out of stack first; either is a parse error
+    nested = '{"kind": "sum", "indices": [], "body": ' * depth + json.dumps(FACTOR_Y) + "}" * depth
+    for text in ("[" * depth, '{"schema_version": 1, "expr": ' + nested + "}"):
+        with pytest.raises(ExpressionParseError, match="nested too deeply"):
+            from_json(text)
+
+
 def test_json_round_trip_fuzz():
     rng = pyrandom.Random(12)
 

@@ -212,8 +212,8 @@ def assert_same_as_validated(h):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_derived_graphs_equal_validated_ones(seed):
-    # fix and induced_subgraph skip validation; what they build must be the
-    # graph the validating constructor builds from the same fields
+    # fix and induced_subgraph pass the constructor fields cut from a valid
+    # graph; what they build must be the graph read back from its JSON form
     rng = pyrandom.Random(seed)
     g = random_admg(rng, rng.randint(1, 7))
     for r in g.random:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random as pyrandom
 
 import pytest
@@ -10,6 +12,8 @@ from causalid import (
     MixedGraph,
     QueryError,
     UnknownVertexError,
+    fix,
+    is_fixable,
 )
 from helpers import (
     brute_ancestors,
@@ -231,6 +235,40 @@ def test_induced_subgraph_keeps_only_internal_edges(fig1c):
     assert sub == MixedGraph(random=["W", "Y"], bidirected=[("W", "Y")])
 
 
+def random_shape(rng, shape):
+    """A random ADMG, a CADMG reached from one by random fixable steps, or a
+    hidden DAG."""
+    if shape == "hidden":
+        return random_hidden_dag(rng, rng.randint(1, 5), rng.randint(1, 3))
+    g = random_admg(rng, rng.randint(1, 7))
+    while shape == "cadmg" and rng.random() < 0.7:
+        fixable = [r for r in g.random if is_fixable(g, r)]
+        if not fixable:
+            break
+        g = fix(g, rng.choice(fixable))
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["admg", "cadmg", "hidden"]))
+def test_queries_within_a_set_are_queries_of_its_induced_subgraph(seed, shape):
+    rng = pyrandom.Random(seed)
+    g = random_shape(rng, shape)
+    names = list(g.vertices)
+    s = set(rng.sample(names, rng.randint(0, len(names))))
+    sub = g.induced_subgraph(s)
+    assert g.districts(within=s) == sub.districts()
+    for v in sorted(s):
+        vs = {v} | set(rng.sample(sorted(s), rng.randint(0, len(s))))
+        assert g.ancestors(vs, within=s) == sub.ancestors(vs)
+        assert g.descendants(vs, within=s) == sub.descendants(vs)
+        if v in sub.random:
+            assert g.district_of(v, within=s) == sub.district_of(v)
+    for v in set(names) - s:  # a vertex outside the set is unknown to the subgraph
+        with pytest.raises(UnknownVertexError):
+            g.ancestors({v}, within=s)
+
+
 # --------------------------------------------------------- ancestral avoiding
 
 def test_ystar_fig1d(fig1d):
@@ -302,6 +340,23 @@ def test_json_rejects_malformed_fields(fields):
 def test_directed_edge_must_be_a_pair(edge):
     with pytest.raises(GraphError, match="directed edge must be a pair"):
         MixedGraph(random=["A", "B", "C"], directed=[edge])
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["unclosed", "well-formed"])
+def test_json_nested_too_deeply_is_a_graph_error(text):
+    with pytest.raises(GraphError, match="nested too deeply"):
+        MixedGraph.from_json(text)
+
+
+def test_pickle_and_deepcopy_rebuild_through_the_constructor(fig1d):
+    cadmg = fix(fig1d, "Y")
+    for g in (fig1d, cadmg, MixedGraph(random=["H", "Y"], hidden=["H"], directed=[("H", "Y")])):
+        for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert copied == g and hash(copied) == hash(g) and copied is not g
+            assert copied.districts() == g.districts()
 
 
 def test_json_requires_mandatory_keys():

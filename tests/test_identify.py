@@ -242,24 +242,44 @@ def test_each_fixing_step_is_probed_once(count_calls):
     assert len(probes) == 81
 
 
-def test_identify_does_not_recheck_the_districts_it_built(monkeypatch):
-    # the decomposition builds two induced subgraphs, one for the
-    # treatment-avoiding ancestors and one for the districts of Y* = V1..V9;
-    # those nine districts are not rebuilt to check that they are
-    # bidirected-connected, which identify_district does check
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """The list that every ``MixedGraph`` construction appends to."""
     built = []
-    induced = MixedGraph.induced_subgraph
+    init = MixedGraph.__init__
 
-    def counted(self, vertices):
-        built.append(vertices)
-        return induced(self, vertices)
+    def counted(self, *args, **kwargs):
+        built.append((args, kwargs))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(MixedGraph, "induced_subgraph", counted)
-    identify(chain(10), Query(outcomes=("V9",), treatments=("V0",)))
-    assert len(built) == 2
-    built.clear()
-    identify_district(chain(10), ("V9",))
-    assert len(built) == 1
+    monkeypatch.setattr(MixedGraph, "__init__", counted)
+    return built
+
+
+def test_identify_does_not_recheck_the_districts_it_built(graph_builds):
+    # the decomposition and the fixing searches ask the input graph by vertex
+    # set, so no graph is built, neither a subgraph to check that a district
+    # is bidirected-connected nor a CADMG per fixing step
+    g = chain(10)
+    graph_builds.clear()
+    identify(g, Query(outcomes=("V9",), treatments=("V0",)))
+    identify_district(g, ("V9",))
+    assert graph_builds == []
+
+
+def test_the_search_and_the_hedge_check_build_no_graph(graph_builds):
+    g = chain(10)
+    graph_builds.clear()
+    assert len(causalid.fixing.find_valid_sequence(g, set(g.random) - {"V9"})) == 9
+    assert reachable_closure(g, {"V9"}) == {"V9"}
+    # a chain has no bidirected edge, so the outer forest is not connected
+    w = HedgeWitness(inner=("V9",), outer=("V8", "V9"), roots=("V9",))
+    assert hedge_violation(g, Query(outcomes=("V9",), treatments=("V8",)), w) == (
+        "outer-not-bidirected-connected"
+    )
+    assert graph_builds == []
+    g.induced_subgraph({"V0", "V1"})  # the public builders still validate
+    assert len(graph_builds) == 1
 
 
 def test_hedge_violation_reason_codes(fig1c):

@@ -184,8 +184,7 @@ def test_numpy_backed_records_compare_by_identity(name):
     assert len({a, b, a}) == 2
 
 
-# a MixedGraph field cannot be pickled or deep-copied, as before
-@pytest.mark.parametrize("name", sorted(set(CASES) - {"Identified", "NotIdentified", "DiscreteScm"}))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_pickle_and_deepcopy_round_trip(name):
     record = CASES[name][0]()
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
