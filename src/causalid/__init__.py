@@ -21,7 +21,6 @@ from .estimand import (
     Const,
     Evaluator,
     Factor,
-    Marginal,
     Product,
     Quotient,
     Slot,
@@ -102,7 +101,6 @@ __all__ = [
     "GraphError",
     "HedgeWitness",
     "Identified",
-    "Marginal",
     "MixedGraph",
     "NotFixableError",
     "NotIdentified",

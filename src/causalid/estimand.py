@@ -1,20 +1,18 @@
 """Symbolic expressions over an observed joint distribution.
 
 An estimand is a tree (really a DAG: subtrees are shared freely) built from
-five node kinds:
+four node kinds:
 
 * :class:`Factor` -- a conditional probability of the observed joint, each
   variable slot bound to an index variable or a constant value,
 * :class:`Product` -- n-ary product,
 * :class:`Quotient` -- numerator over denominator,
-* :class:`Sum` -- summation binding index variables, used for the outer
-  marginalization of an assembled estimand,
-* :class:`Marginal` -- same semantics as :class:`Sum`; used for the internal
-  marginals of kernel synthesis and kept as a distinct kind in the JSON schema.
+* :class:`Sum` -- summation binding index variables; ``from_json`` also
+  reads the kind ``marginal`` of older documents as a sum.
 
 Evaluation against a :class:`~causalid.tables.ProbTable` is exact: each node
 becomes one dense table over its free variables, computed once however often
-the node is shared.
+the node is shared. A value outside its vertex's range 0..card-1 raises.
 
 Every traversal but ``render_text``, ``render_latex``, ``to_json`` and
 ``from_json``, which write or read the tree, steps each distinct node once
@@ -37,6 +35,9 @@ if TYPE_CHECKING:  # numpy-backed; imported only for annotations
     from .tables import ProbTable
 
 SCHEMA_VERSION = 1
+# nodes on one path from the root that ``from_json`` accepts, so that walkers
+# that recurse per level fit the default recursion limit (chain(n): n + 4)
+MAX_DEPTH = 256
 
 
 # ----------------------------------------------------------------- node types
@@ -107,16 +108,7 @@ class Sum(Record):
         object.__setattr__(self, "body", body)
 
 
-class Marginal(Record):
-    indices: Tuple[Tuple[str, str], ...]
-    body: "Expr"
-
-    def __init__(self, indices: Tuple[Tuple[str, str], ...], body: "Expr"):
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "body", body)
-
-
-Expr = Union[Factor, Product, Quotient, Sum, Marginal]
+Expr = Union[Factor, Product, Quotient, Sum]
 
 
 # ------------------------------------------------------------ structure utils
@@ -129,7 +121,7 @@ def _slots(node) -> Tuple[Tuple[str, Expr], ...]:
         return tuple((f"terms[{i}]", t) for i, t in enumerate(node.terms))
     if isinstance(node, Quotient):
         return (("numerator", node.numerator), ("denominator", node.denominator))
-    if isinstance(node, (Sum, Marginal)):
+    if isinstance(node, Sum):
         return (("body", node.body),)
     if isinstance(node, Factor):
         return ()
@@ -143,8 +135,8 @@ def _rebuild(node, parts) -> Expr:
         return Product(terms=tuple(parts))
     if isinstance(node, Quotient):
         return Quotient(*parts)
-    if isinstance(node, (Sum, Marginal)):
-        return type(node)(indices=node.indices, body=parts[0])
+    if isinstance(node, Sum):
+        return Sum(indices=node.indices, body=parts[0])
     return node
 
 
@@ -169,7 +161,7 @@ def _free_step(node, parts) -> FrozenSet[str]:
     if isinstance(node, Factor):
         return frozenset(s.ref.name for s in node.outcomes + node.given if isinstance(s.ref, Var))
     out = frozenset().union(*[names for _, names in parts])
-    if isinstance(node, (Sum, Marginal)):
+    if isinstance(node, Sum):
         out -= {v for v, _ in node.indices}
     return out
 
@@ -197,7 +189,7 @@ def well_formed(e: Expr, allowed_free=None):
                 problem = f": vertex {twice!r} appears twice in one factor"
             elif not node.outcomes:
                 problem = ": factor with no outcome slots"
-        elif isinstance(node, (Sum, Marginal)):
+        elif isinstance(node, Sum):
             [(_, (body_free, _))] = parts
             names = [v for v, _ in node.indices]
             dangling = [name for name in names if name not in body_free]
@@ -246,7 +238,7 @@ def substitute(e: Expr, mapping: Mapping[str, Ref]) -> Expr:
                 out = Factor(outcomes=tuple(sub_slot(s, mapping) for s in node.outcomes),
                              given=tuple(sub_slot(s, mapping) for s in node.given))
             else:
-                if isinstance(node, (Sum, Marginal)):
+                if isinstance(node, Sum):
                     bound = dict(node.indices)
                     mapping = {k: v for k, v in mapping.items() if k not in bound}
                 out = _rebuild(node, [go(child, mapping) for _, child in _slots(node)])
@@ -312,11 +304,17 @@ class Evaluator:
         ``binding``. A value may also be an integer array: the root's table is
         indexed as numpy indexes, so arrays that broadcast together read a
         whole grid of points in one call."""
+        import numpy as np  # the joint is a ProbTable, so numpy is loaded
+
         names, values = self._table(e)  # ``names`` are the free variables
         missing = set(names) - set(binding)
         if missing:
             raise EvaluationError(f"missing binding for variables: {sorted(missing)}")
-        return values[tuple(binding[v] for v in names)]
+        at = tuple(binding[v] for v in names)
+        for v, value, card in zip(names, at, values.shape):
+            if np.min(value) < 0 or np.max(value) >= card:
+                raise EvaluationError(f"value of {v!r} out of range 0..{card - 1}")
+        return values[at]
 
     def _table(self, node) -> Tuple[Tuple[str, ...], np.ndarray]:
         hit = self._tables.get(id(node))
@@ -333,7 +331,13 @@ class Evaluator:
             at = {s.vertex: s.ref.value for s in slots if isinstance(s.ref, Const)}
             names = {s.vertex: s.ref.name for s in slots if isinstance(s.ref, Var)}
             vertices = tuple(sorted(s.vertex for s in slots))
-            values = self._marginal(vertices)[tuple(at.get(v, slice(None)) for v in vertices)]
+            values = self._marginal(vertices)
+            for v, value in at.items():
+                if not 0 <= value < self._cards[v]:
+                    raise EvaluationError(
+                        f"{v}={value} out of range 0..{self._cards[v] - 1} in {render_text(node)}"
+                    )
+            values = values[tuple(at.get(v, slice(None)) for v in vertices)]
             free = tuple(v for v in vertices if v in names)
             if node.given:
                 given = tuple(sorted(s.vertex for s in node.given))
@@ -355,7 +359,7 @@ class Evaluator:
             num_names, num = self._table(node.numerator)
             names = tuple(sorted(set(num_names) | set(den_names)))
             return names, _spread(num, num_names, names) / _spread(den, den_names, names)
-        if isinstance(node, (Sum, Marginal)):
+        if isinstance(node, Sum):
             for _, vertex in node.indices:
                 if vertex not in self._cards:
                     raise EvaluationError(f"unknown vertex in summation: {vertex!r}")
@@ -439,13 +443,14 @@ def _render(e: Expr, style: Tuple[str, ...]) -> str:
         if isinstance(node, Factor):
             return _factor_text(node, env, bar)
         if isinstance(node, Product):
-            return " ".join(go(t, env, not isinstance(t, Factor)) for t in node.terms)
+            # a list, not a generator: one stack frame less per level
+            return " ".join([go(t, env, not isinstance(t, Factor)) for t in node.terms])
         if isinstance(node, Quotient):
             s = quotient.format(
                 num=go(node.numerator, env, False), den=go(node.denominator, env, False)
             )
             return wrap_quotient.format(s) if wrap else s
-        if isinstance(node, (Sum, Marginal)):
+        if isinstance(node, Sum):
             used = set(env.values())
             inner_env = dict(env)
             shown = []
@@ -481,7 +486,7 @@ def render_dot(e: Expr) -> str:
         # [label, children's items, dot id once emitted]
         if isinstance(node, Factor):
             label = _factor_text(node, {}, _TEXT[0]).replace('"', r"\"")
-        elif isinstance(node, (Sum, Marginal)):
+        elif isinstance(node, Sum):
             label = f"{kind_name(node)} over {','.join(name for name, _ in node.indices)}"
         else:
             label = kind_name(node)
@@ -526,7 +531,7 @@ def _node_to_dict(e: Expr) -> dict:
         if isinstance(node, Factor):
             d["outcomes"] = [_slot_to_dict(s) for s in node.outcomes]
             d["given"] = [_slot_to_dict(s) for s in node.given]
-        elif isinstance(node, (Sum, Marginal)):
+        elif isinstance(node, Sum):
             d["indices"] = [{"var": v, "vertex": x} for v, x in node.indices]
         if isinstance(node, Product):
             d["terms"] = [part for _, part in parts]
@@ -560,8 +565,8 @@ def _ref_from_dict(d: dict, path: str) -> Ref:
     if "var" in d:
         return Var(_name(d["var"], path, "'var'"))
     if "const" in d:
-        if not isinstance(d["const"], int) or isinstance(d["const"], bool):
-            raise ExpressionParseError(f"{path}: 'const' must be an integer")
+        if not isinstance(d["const"], int) or isinstance(d["const"], bool) or d["const"] < 0:
+            raise ExpressionParseError(f"{path}: 'const' must be an integer >= 0")
         return Const(d["const"])
     raise ExpressionParseError(f"{path}: slot needs 'var' or 'const'")
 
@@ -572,25 +577,22 @@ def _slot_from_dict(d: dict, path: str) -> Slot:
     return Slot(vertex=_name(d["vertex"], path, "'vertex'"), ref=_ref_from_dict(d, path))
 
 
-def _node_from_dict(d: dict, path: str):
+def _node_from_dict(d: dict, path: str, depth: int = 1):
+    if depth > MAX_DEPTH:
+        raise ExpressionParseError(f"expression nested too deeply: over {MAX_DEPTH} levels")
     if not isinstance(d, dict) or "kind" not in d:
         raise ExpressionParseError(f"{path}: expected an object with a 'kind' key")
     kind = d["kind"]
     if kind == "factor":
-        return Factor(
-            outcomes=tuple(
-                _slot_from_dict(s, f"{path}.outcomes[{i}]")
-                for i, s in enumerate(_list(d, "outcomes", path))
-            ),
-            given=tuple(
-                _slot_from_dict(s, f"{path}.given[{i}]")
-                for i, s in enumerate(_list(d, "given", path))
-            ),
-        )
+        return Factor(**{
+            key: tuple(_slot_from_dict(s, f"{path}.{key}[{i}]")
+                       for i, s in enumerate(_list(d, key, path)))
+            for key in ("outcomes", "given")
+        })
     if kind == "product":
         return Product(
             terms=tuple(
-                _node_from_dict(t, f"{path}.terms[{i}]")
+                _node_from_dict(t, f"{path}.terms[{i}]", depth + 1)
                 for i, t in enumerate(_list(d, "terms", path))
             )
         )
@@ -599,11 +601,10 @@ def _node_from_dict(d: dict, path: str):
             if key not in d:
                 raise ExpressionParseError(f"{path}: quotient missing {key!r}")
         return Quotient(
-            numerator=_node_from_dict(d["numerator"], f"{path}.numerator"),
-            denominator=_node_from_dict(d["denominator"], f"{path}.denominator"),
+            numerator=_node_from_dict(d["numerator"], f"{path}.numerator", depth + 1),
+            denominator=_node_from_dict(d["denominator"], f"{path}.denominator", depth + 1),
         )
     if kind in ("sum", "marginal"):
-        cls = Sum if kind == "sum" else Marginal
         indices = []
         for i, idx in enumerate(_list(d, "indices", path)):
             at = f"{path}.indices[{i}]"
@@ -612,7 +613,8 @@ def _node_from_dict(d: dict, path: str):
             indices.append((_name(idx["var"], at, "'var'"), _name(idx["vertex"], at, "'vertex'")))
         if "body" not in d:
             raise ExpressionParseError(f"{path}: {kind} missing 'body'")
-        return cls(indices=tuple(indices), body=_node_from_dict(d["body"], f"{path}.body"))
+        body = _node_from_dict(d["body"], f"{path}.body", depth + 1)
+        return Sum(indices=tuple(indices), body=body)
     raise ExpressionParseError(f"{path}: unknown node kind {kind!r}")
 
 
@@ -622,12 +624,12 @@ def from_json(text: str) -> Expr:
         if not isinstance(data, dict) or "expr" not in data:
             raise ExpressionParseError("top level must be an object with an 'expr' key")
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:  # not True or 1.0
             raise ExpressionParseError(f"unsupported schema_version: {version!r}")
         return _node_from_dict(data["expr"], "expr")
     except json.JSONDecodeError as exc:
         raise ExpressionParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except RecursionError:  # in the JSON decoder or in the walk over its nodes
+    except RecursionError:  # in the JSON decoder
         raise ExpressionParseError("expression JSON nested too deeply") from None

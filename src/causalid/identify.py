@@ -87,8 +87,8 @@ def _require_connected(g: MixedGraph, d) -> None:
         raise GraphError(f"district {sorted(d)} is not bidirected-connected")
 
 
-def _marginalize(e: ex.Expr, vertices) -> ex.Marginal:
-    return ex.Marginal(indices=tuple((v, v) for v in sorted(vertices)), body=e)
+def _marginalize(e: ex.Expr, vertices) -> ex.Sum:
+    return ex.Sum(indices=tuple((v, v) for v in sorted(vertices)), body=e)
 
 
 def identify_district(g: MixedGraph, district) -> Union[ex.Expr, NotReachable]:
@@ -315,10 +315,8 @@ def identify(g: MixedGraph, query: Query) -> IdentificationResult:
             mapping[v] = ex.Const(0)
     terms = tuple(ex.substitute(kernels[d], mapping) for d in dec.districts)
     body: ex.Expr = terms[0] if len(terms) == 1 else ex.Product(terms=terms)
-    sum_over = sorted(ystar - set(query.outcomes))
-    expr: ex.Expr = body
-    if sum_over:
-        expr = ex.Sum(indices=tuple((v, v) for v in sum_over), body=body)
+    sum_over = ystar - set(query.outcomes)
+    expr = _marginalize(body, sum_over) if sum_over else body
     return Identified(
         graph=g,
         query=query,

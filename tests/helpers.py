@@ -4,6 +4,7 @@ Everything here is deliberately naive (path enumeration, exhaustive search)
 so it stays independent of the library's own algorithms.
 """
 
+import heapq
 import itertools
 import random as pyrandom
 
@@ -13,7 +14,6 @@ from causalid import (
     EvaluationError,
     Factor,
     GraphError,
-    Marginal,
     MixedGraph,
     NotReachable,
     ProbTable,
@@ -241,48 +241,64 @@ def _sum_out(q, vertices):
         return q
     if isinstance(q, Factor) and not q.given:
         return Factor(outcomes=tuple(s for s in q.outcomes if s.vertex not in vertices))
-    return Marginal(indices=tuple((v, v) for v in sorted(vertices)), body=q)
+    return Sum(indices=tuple((v, v) for v in sorted(vertices)), body=q)
 
 
 def _factor(v, given):
     return Factor(outcomes=(Slot(v, Var(v)),), given=tuple(Slot(u, Var(u)) for u in sorted(given)))
 
 
+def topological_order(g: MixedGraph):
+    """The random vertices of ``g``, each after its parents; among the
+    vertices whose parents are all placed, the least name comes first."""
+    waiting = {v: len(g.parents({v})) for v in g.random}
+    ready = [v for v, n in waiting.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        order.append(heapq.heappop(ready))
+        for c in g.children({order[-1]}):
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    return order
+
+
 def tian_kernel(g: MixedGraph, district):
     """Reference kernel of a bidirected-connected set D of an ADMG by Tian's
     recursion (Tian & Pearl 2002; Shpitser & Pearl 2006, Fig. 3), built from
-    ancestors and districts alone, with no fixing code. Free variables are
-    named after vertices, as in ``identify_district``.
+    ancestors and districts within vertex sets alone, with no fixing code.
+    Free variables are named after vertices, as in ``identify_district``.
 
     Start from T = V and Q = p(V). At each level A = an_{G[T]}(D). When
     A = D the kernel is Q summed over T - D. Otherwise T' is D's district in
     G[A]; when T' = T the recursion is stuck, with residual T - D (at the
     first level T = V need not be one district, so A = T alone is no
-    verdict). Else Q[T'] = prod over v in T' of Q[A](v | pre_A(v)), in the
-    order (number of ancestors in G[A], name). At the first level Q[A] is
-    p(A), so each term is p(v | mb(v)): the district T_v of v in
-    G[pre_A(v) + v], plus its parents, minus v.
+    verdict). Else Q[T'] = prod over v in T' of Q[A](v | pre_A(v)), in one
+    topological order of G, computed once and restricted to A. At the first
+    level Q[A] is p(A), so each term is p(v | mb(v)): the district T_v of v
+    in G[pre_A(v) + v], plus its parents, minus v.
     """
     d = frozenset(district)
     t = frozenset(g.random)
+    order = topological_order(g)
     q = Factor(outcomes=tuple(Slot(v, Var(v)) for v in g.random))
     first = True
     while True:
-        a = g.induced_subgraph(t).ancestors(d)
+        a = g.ancestors(d, within=t)
         if a == d:
             return _sum_out(q, t - d)
-        g_a = g.induced_subgraph(a)
-        t_next = g_a.district_of(min(d))
+        t_next = g.district_of(min(d), within=a)
         if t_next == t:
             return NotReachable(residual=tuple(sorted(t - d)))
-        order = sorted(a, key=lambda v: (len(g_a.ancestors({v})), v))
+        order_a = [v for v in order if v in a]
         terms = []
-        for i, v in enumerate(order):
+        for i, v in enumerate(order_a):
             if v not in t_next:
                 continue
-            pre = set(order[:i])
+            pre = set(order_a[:i])
             if first:
-                t_v = g.induced_subgraph(pre | {v}).district_of(v)
+                t_v = g.district_of(v, within=pre | {v})
                 terms.append(_factor(v, (t_v - {v}) | g.parents(t_v)))
             else:
                 terms.append(Quotient(_sum_out(q, t - pre - {v}), _sum_out(q, t - pre)))
@@ -295,7 +311,7 @@ def _children(node):
         return node.terms
     if isinstance(node, Quotient):
         return (node.numerator, node.denominator)
-    if isinstance(node, (Sum, Marginal)):
+    if isinstance(node, Sum):
         return (node.body,)
     return ()
 
@@ -311,6 +327,20 @@ def tree_nodes(expr) -> int:
         if key not in sizes:
             sizes[key] = 1 + sum(go(k) for k in _children(node))
         return sizes[key]
+
+    return go(expr)
+
+
+def depth(expr) -> int:
+    """Nodes on the longest root-to-leaf path of the estimand, memoized by
+    ``id`` as ``tree_nodes`` is."""
+    depths = {}
+
+    def go(node):
+        key = id(node)
+        if key not in depths:
+            depths[key] = 1 + max((go(k) for k in _children(node)), default=0)
+        return depths[key]
 
     return go(expr)
 
@@ -397,7 +427,7 @@ class ScalarEvaluator:
                     f"zero denominator in quotient: {render_text(node.denominator)}"
                 )
             return self._eval(node.numerator, env) / den
-        if isinstance(node, (Sum, Marginal)):
+        if isinstance(node, Sum):
             names = [v for v, _ in node.indices]
             for _, vertex in node.indices:
                 if vertex not in self._cards:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalid import (
     Const,
@@ -13,7 +15,6 @@ from causalid import (
     Evaluator,
     ExpressionParseError,
     Factor,
-    Marginal,
     ProbTable,
     Product,
     Quotient,
@@ -30,7 +31,8 @@ from causalid import (
     to_json,
     well_formed,
 )
-from helpers import ScalarEvaluator, dag_nodes, random_positive_joint
+from causalid.estimand import MAX_DEPTH, render_dot
+from helpers import ScalarEvaluator, chain, dag_nodes, depth, random_positive_joint
 
 
 def factor(outs, givs=()):
@@ -93,9 +95,9 @@ def test_well_formed_disallowed_free():
 
 
 def test_well_formed_reports_a_shared_node_on_its_first_path():
-    # the dangling marginal is reached twice: deep under terms[0] first, and
+    # the dangling sum is reached twice: deep under terms[0] first, and
     # directly as terms[1]; depth-first order reports the deep path
-    dangling = Marginal(indices=(("m", "M"),), body=factor(["Y"]))
+    dangling = Sum(indices=(("m", "M"),), body=factor(["Y"]))
     e = Product(terms=(
         Quotient(factor(["A"]), Product(terms=(factor(["C"]), dangling))),
         dangling,
@@ -105,7 +107,7 @@ def test_well_formed_reports_a_shared_node_on_its_first_path():
     assert well_formed(e, allowed_free=set()) == want
     twice = factor(["Y", Slot("Y", Var("z"))])
     e = Sum(indices=(("y", "Y"),), body=Product(terms=(
-        Marginal(indices=(("z", "Y"),), body=twice), Quotient(twice, twice))))
+        Sum(indices=(("z", "Y"),), body=twice), Quotient(twice, twice))))
     assert well_formed(e) == (
         False, ["sum.body.terms[0].body: vertex 'Y' appears twice in one factor"])
 
@@ -142,7 +144,7 @@ def test_walkers_are_linear_in_dag_nodes(monkeypatch):
     # under the binders, the nodes below are also reached with {w} alone;
     # each (node, mapping) is stepped once
     nodes = doubling_chain(
-        40, lambda prev: Product(terms=(prev, Marginal(indices=(("y", "Y"),), body=prev))))
+        40, lambda prev: Product(terms=(prev, Sum(indices=(("y", "Y"),), body=prev))))
     counts = per_node(lambda e: substitute(e, {"y": Var("z"), "w": Var("v")}), nodes[-1])
     assert max(counts) == 2
 
@@ -222,20 +224,34 @@ def test_const_slot_evaluation():
 
 
 def test_marginal_and_sum_agree():
+    # schema_version 1 documents may say "marginal" where a sum is meant;
+    # they read as the same expression, so they evaluate the same
+    joint = random_positive_joint(3, ("A", "C", "M", "Y"), (2, 3, 2, 2))
+
+    def as_marginals(node):
+        if isinstance(node, dict):
+            node = {k: as_marginals(v) for k, v in node.items()}
+            return {**node, "kind": "marginal"} if node.get("kind") == "sum" else node
+        return [as_marginals(v) for v in node] if isinstance(node, list) else node
+
+    text = to_json(FRONT_DOOR)
+    old = json.dumps(as_marginals(json.loads(text)))
+    assert old.count('"marginal"') == 2 and '"sum"' not in old
+    assert from_json(old) == from_json(text) == FRONT_DOOR
+    ev = Evaluator(joint)
+    for a, y in itertools.product(range(2), range(2)):
+        assert evaluate(from_json(old), joint, {"a": a, "Y": y}) == ev.evaluate(
+            FRONT_DOOR, {"a": a, "Y": y})
+    s = Sum(indices=(("b", "B"),), body=factor(["A", "B"]))
     joint = random_positive_joint(3, ("A", "B"), (2, 2))
-    body = factor(["A", "B"])
-    s = Sum(indices=(("b", "B"),), body=body)
-    m = Marginal(indices=(("b", "B"),), body=body)
     for a in range(2):
-        assert evaluate(s, joint, {"a": a}) == pytest.approx(
-            evaluate(m, joint, {"a": a}), abs=1e-15)
         assert evaluate(s, joint, {"a": a}) == pytest.approx(
             joint.values[a, :].sum(), abs=1e-15)
 
 
 def test_marginal_empty_indices_is_identity():
     joint = random_positive_joint(4, ("A",), (3,))
-    e = Marginal(indices=(), body=factor(["A"]))
+    e = Sum(indices=(), body=factor(["A"]))
     for a in range(3):
         assert evaluate(e, joint, {"a": a}) == pytest.approx(
             joint.values[a], abs=1e-15)
@@ -255,6 +271,28 @@ def test_missing_binding_raises():
     joint = random_positive_joint(7, ("A",), (2,))
     with pytest.raises(EvaluationError, match="missing binding"):
         evaluate(factor(["A"]), joint, {})
+
+
+@pytest.mark.parametrize("value", [-1, 2])
+def test_constant_out_of_range_raises(value):
+    # Const(-1) used to read p(Y=1) through numpy's negative indexing, and
+    # Const(2) raised a bare IndexError
+    joint = random_positive_joint(7, ("A", "Y"), (3, 2))
+    e = Factor(outcomes=(Slot("Y", Const(value)),), given=(Slot("A", Var("a")),))
+    want = rf"Y={value} out of range 0\.\.1 in p\(Y={value} \| a\)"
+    with pytest.raises(EvaluationError, match=want):
+        evaluate(e, joint, {"a": 0})
+    assert evaluate(Factor(outcomes=(Slot("A", Const(2)),)), joint, {}) == pytest.approx(
+        joint.values[2].sum(), abs=1e-15)
+
+
+@pytest.mark.parametrize("value", [-1, 2, np.array([[0], [2]])])
+def test_binding_out_of_range_raises(value):
+    joint = random_positive_joint(7, ("A", "Y"), (3, 2))
+    e = factor(["Y"], ["A"])
+    with pytest.raises(EvaluationError, match=r"value of 'y' out of range 0\.\.1"):
+        evaluate(e, joint, {"a": 2, "y": value})
+    assert evaluate(e, joint, {"a": np.arange(3), "y": 1}).shape == (3,)
 
 
 def test_zero_denominator_names_subexpression():
@@ -451,6 +489,10 @@ PARSE_ERRORS = [
      "expr.outcomes[0]: 'var' must be a non-empty string"),
     ({"kind": "factor", "outcomes": [], "given": [{"vertex": "Y", "const": True}]},
      "expr.given[0]: 'const' must be an integer"),
+    ({"kind": "factor", "outcomes": [{"vertex": "Y", "const": -1}]},
+     "expr.outcomes[0]: 'const' must be an integer >= 0"),
+    ({"schema_version": True, "expr": FACTOR_Y}, "unsupported schema_version: True"),
+    ({"schema_version": 1.0, "expr": FACTOR_Y}, "unsupported schema_version: 1.0"),
     ({"kind": "sum", "indices": 5, "body": FACTOR_Y}, "expr: 'indices' must be a list"),
     ({"kind": "sum", "indices": [{"var": "y"}], "body": FACTOR_Y},
      "expr.indices[0]: expected an object with 'var' and 'vertex'"),
@@ -483,6 +525,102 @@ def test_json_nested_too_deeply_is_a_parse_error(depth):
     for text in ("[" * depth, '{"schema_version": 1, "expr": ' + nested + "}"):
         with pytest.raises(ExpressionParseError, match="nested too deeply"):
             from_json(text)
+
+
+NESTINGS = {
+    "sum": lambda inner: {"kind": "sum", "indices": [], "body": inner},
+    "product": lambda inner: {"kind": "product", "terms": [inner]},
+    "numerator": lambda inner: {"kind": "quotient", "numerator": inner, "denominator": FACTOR_Y},
+    "denominator": lambda inner: {"kind": "quotient", "numerator": FACTOR_Y, "denominator": inner},
+}
+
+
+def readable(e):
+    """Every walker a parsed document may meet, run once."""
+    for walk in (to_json, render_text, render_latex, render_dot, free_vars, well_formed):
+        walk(e)
+
+
+@pytest.mark.parametrize("nesting", NESTINGS)
+def test_json_deeper_than_the_bound_is_a_parse_error(nesting):
+    # a document at the bound goes through every walker; one level more is
+    # refused before any walker could run out of stack
+    node = FACTOR_Y
+    for _ in range(MAX_DEPTH - 1):
+        node = NESTINGS[nesting](node)
+    e = from_json(json.dumps({"schema_version": 1, "expr": node}))
+    readable(e)
+    assert to_json(from_json(to_json(e))) == to_json(e)
+    too_deep = json.dumps({"schema_version": 1, "expr": NESTINGS[nesting](node)})
+    with pytest.raises(ExpressionParseError, match=f"nested too deeply: over {MAX_DEPTH} levels"):
+        from_json(too_deep)
+
+
+def test_identify_output_on_a_chain_stays_under_the_bound():
+    from causalid import Query, identify
+
+    # p(V(n-1) | do(V0)) on chain(n) is n + 4 levels deep
+    res = identify(chain(12), Query(outcomes=("V11",), treatments=("V0",)))
+    assert depth(res.estimand) == 16
+    assert from_json(to_json(res.estimand)) == res.estimand
+
+
+VERTICES = st.sampled_from(["A", "B", "Y"])
+NAMES = st.sampled_from(["a", "b", "y", "Y"])
+REFS = st.one_of(st.builds(Var, NAMES), st.builds(Const, st.integers(0, 2)))
+SLOTS = st.lists(st.builds(Slot, VERTICES, REFS), max_size=2).map(tuple)
+EXPRS = st.recursive(
+    st.builds(Factor, SLOTS, SLOTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda ts: Product(tuple(ts))),
+        st.builds(Quotient, inner, inner),
+        st.builds(Sum, st.lists(st.tuples(NAMES, VERTICES), max_size=2).map(tuple), inner),
+    ),
+    max_leaves=6,
+)
+KEYS = ["kind", "outcomes", "given", "terms", "numerator", "denominator", "body", "indices",
+        "var", "vertex", "const", "schema_version", "expr"]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
+                    st.sampled_from(["", "Y", "sum", "marginal", "factor", "product", "quotient"]))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=2)), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def _places(node, out):
+    """Append every (container, key or index) inside ``node``."""
+    if isinstance(node, (dict, list)):
+        for k, v in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            out.append((node, k))
+            _places(v, out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_estimand_json_is_an_expression_or_a_parse_error(data):
+    # any exception but an ExpressionParseError fails the property, and an
+    # accepted document goes through every walker
+    if data.draw(st.booleans()):
+        text = json.dumps(data.draw(JSON_VALUES))
+    else:
+        doc = json.loads(to_json(data.draw(EXPRS)))
+        node, key = data.draw(st.sampled_from(_places(doc, [])))
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(st.one_of(SCALARS, JSON_VALUES))
+        text = json.dumps(doc)
+    try:
+        e = from_json(text)
+    except ExpressionParseError:
+        return
+    readable(e)
 
 
 def test_json_round_trip_fuzz():

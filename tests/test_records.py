@@ -17,7 +17,6 @@ from causalid import (
     FixingSequence,
     GraphError,
     HedgeWitness,
-    Marginal,
     MixedGraph,
     NotReachable,
     ProbTable,
@@ -69,11 +68,6 @@ CASES = {
         "Sum(indices=(('b', 'B'),), "
         "body=Factor(outcomes=(Slot(vertex='B', ref=Var(name='b')),), given=()))",
     ),
-    "Marginal": (
-        lambda: Marginal((("b", "B"),), fa("B", "b")),
-        "Marginal(indices=(('b', 'B'),), "
-        "body=Factor(outcomes=(Slot(vertex='B', ref=Var(name='b')),), given=()))",
-    ),
     "FixingSequence": (
         lambda: FixingSequence(("A", "B"), (frozenset({"A"}), frozenset({"B"}))),
         "FixingSequence(steps=('A', 'B'), descendants=(frozenset({'A'}), frozenset({'B'})))",
@@ -98,18 +92,18 @@ CASES = {
         "query=Query(outcomes=('Y',), treatments=('A',)), "
         "estimand=Quotient(numerator=Factor(outcomes=(Slot(vertex='A', ref=Var(name='a')), "
         "Slot(vertex='Y', ref=Var(name='Y'))), given=()), "
-        "denominator=Quotient(numerator=Marginal(indices=(('Y', 'Y'),), "
+        "denominator=Quotient(numerator=Sum(indices=(('Y', 'Y'),), "
         "body=Factor(outcomes=(Slot(vertex='A', ref=Var(name='a')), "
         "Slot(vertex='Y', ref=Var(name='Y'))), given=())), "
-        "denominator=Marginal(indices=(('A', 'A'), ('Y', 'Y')), "
+        "denominator=Sum(indices=(('A', 'A'), ('Y', 'Y')), "
         "body=Factor(outcomes=(Slot(vertex='A', ref=Var(name='A')), "
         "Slot(vertex='Y', ref=Var(name='Y'))), given=())))), "
         "districts=((('Y',), Quotient(numerator=Factor(outcomes=(Slot(vertex='A', "
         "ref=Var(name='A')), Slot(vertex='Y', ref=Var(name='Y'))), given=()), "
-        "denominator=Quotient(numerator=Marginal(indices=(('Y', 'Y'),), "
+        "denominator=Quotient(numerator=Sum(indices=(('Y', 'Y'),), "
         "body=Factor(outcomes=(Slot(vertex='A', ref=Var(name='A')), "
         "Slot(vertex='Y', ref=Var(name='Y'))), given=())), "
-        "denominator=Marginal(indices=(('A', 'A'), ('Y', 'Y')), "
+        "denominator=Sum(indices=(('A', 'A'), ('Y', 'Y')), "
         "body=Factor(outcomes=(Slot(vertex='A', ref=Var(name='A')), "
         "Slot(vertex='Y', ref=Var(name='Y'))), given=())))), ('A',)),), "
         "treatment_labels={'A': 'a'})",
@@ -193,7 +187,7 @@ def test_pickle_and_deepcopy_round_trip(name):
 
 def test_equality_needs_the_same_class_and_fields():
     body = fa("B", "b")
-    assert Sum((("b", "B"),), body) != Marginal((("b", "B"),), body)
+    assert NotReachable(("B",)) != Product(("B",))  # equal field tuples
     assert Sum((("b", "B"),), body) == Sum((("b", "B"),), fa("B", "b"))
     assert Sum((("b", "B"),), body) != Sum((("c", "B"),), body)
     assert Var("a") != Const("a") and Var("a") != "a" and Var("a") != ("a",)
