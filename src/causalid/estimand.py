@@ -12,13 +12,16 @@ four node kinds:
 
 Evaluation against a :class:`~causalid.tables.ProbTable` is exact: each node
 becomes one dense table over its free variables, computed once however often
-the node is shared. A value outside its vertex's range 0..card-1 raises.
+the node is shared. A value outside its vertex's range 0..card-1 raises, and
+so does a variable that ranges over vertices of different cardinality.
 
-Every traversal but ``render_text``, ``render_latex``, ``to_json`` and
-``from_json``, which write or read the tree, steps each distinct node once
-(``substitute``: once per node and mapping), so it is linear in DAG nodes;
-only ``simplify``'s cancellation tests compare subtrees with ``==``, which
-walks them as trees.
+Every traversal but ``render_text``, ``render_latex`` and ``from_json``,
+which write or read the tree, steps each distinct node once (``substitute``:
+once per node and mapping), so it is linear in DAG nodes; only
+``simplify``'s cancellation tests compare subtrees with ``==``, which walks
+them as trees. ``to_json`` writes the tree's bytes, but copies the text of a
+subtree met again at the same depth, so its work is linear in bytes written
+plus (node, depth) pairs.
 """
 
 from __future__ import annotations
@@ -285,12 +288,14 @@ class Evaluator:
     Poole 1994). The arrays are memoized on ``id(node)`` and hold the node,
     as ``_fold`` does, so one instance shares work across bindings and
     across structurally shared subtrees. A denominator that is zero in any
-    cell of its table raises, whether or not that cell is asked for.
+    cell of its table raises, whether or not that cell is asked for, and so
+    does a variable that ranges over vertices of different cardinality.
     """
 
     def __init__(self, joint: ProbTable):
         self.joint = joint
         self._cards = joint.card_map()
+        self._ranges: Dict[int, tuple] = {}  # a ``_fold`` cache for ``_range_step``
         self._marginals: Dict[Tuple[str, ...], ProbTable] = {}
         self._tables: Dict[int, Tuple[Expr, Tuple[str, ...], np.ndarray]] = {}
 
@@ -306,6 +311,7 @@ class Evaluator:
         whole grid of points in one call."""
         import numpy as np  # the joint is a ProbTable, so numpy is loaded
 
+        _fold(e, self._range_step, self._ranges)
         names, values = self._table(e)  # ``names`` are the free variables
         missing = set(names) - set(binding)
         if missing:
@@ -315,6 +321,32 @@ class Evaluator:
             if np.min(value) < 0 or np.max(value) >= card:
                 raise EvaluationError(f"value of {v!r} out of range 0..{card - 1}")
         return values[at]
+
+    def _range_step(self, node, parts) -> Dict[str, str]:
+        """``_fold`` step run before any table is built: each free variable of
+        ``node`` with a vertex it ranges over, raising where a variable ranges
+        over two vertices of different cardinality, in one node or across a
+        sum's index and its body. An unknown vertex is left to the tables."""
+        if isinstance(node, Factor):
+            pairs = [(s.ref.name, s.vertex) for s in node.outcomes + node.given
+                     if isinstance(s.ref, Var)]
+        else:
+            pairs = [pair for _, ranges in parts for pair in ranges.items()]
+            if isinstance(node, Sum):
+                pairs += node.indices
+        ranges: Dict[str, str] = {}
+        for v, vertex in pairs:
+            first = ranges.setdefault(v, vertex)
+            cards = self._cards.get(first), self._cards.get(vertex)
+            if None not in cards and cards[0] != cards[1]:
+                raise EvaluationError(
+                    f"variable {v!r} ranges over {first!r} (card {cards[0]}) "
+                    f"and {vertex!r} (card {cards[1]})"
+                )
+        if isinstance(node, Sum):
+            for v, _ in node.indices:
+                ranges.pop(v, None)
+        return ranges
 
     def _table(self, node) -> Tuple[Tuple[str, ...], np.ndarray]:
         hit = self._tables.get(id(node))
@@ -542,8 +574,59 @@ def _node_to_dict(e: Expr) -> dict:
     return _fold(e, step, {})
 
 
+def _dumps_indented(doc) -> str:
+    """``json.dumps(doc, indent=2)`` for the str-keyed dicts, lists and
+    scalars that ``_node_to_dict`` builds, without json's pure-Python indent
+    encoder. An object met again at the same depth has the same text, so its
+    pieces are copied from where they were first written rather than walked
+    again; the work is linear in bytes written plus (object, depth) pairs.
+    One stack frame per nesting level."""
+    encode_str = json.encoder.encode_basestring_ascii
+    out: list = []
+    spans: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (id, depth) -> out[a:b]
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            out.append(encode_str(value))
+            return
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, list):
+            out.append(json.dumps(value))
+            return
+        if not value:
+            out.append("{}" if is_dict else "[]")
+            return
+        key = (id(value), len(indent))
+        span = spans.get(key)
+        if span is not None:
+            out.extend(out[span[0]:span[1]])
+            return
+        start = len(out)
+        inner = indent + "  "
+        out.append("{" if is_dict else "[")
+        sep = inner
+        for item in value.items() if is_dict else value:
+            out.append(sep)
+            sep = "," + inner
+            if is_dict:
+                out.append(encode_str(item[0]) + ": ")
+                item = item[1]
+            write(item, inner)
+        out.append(indent)
+        out.append("}" if is_dict else "]")
+        spans[key] = (start, len(out))
+
+    write(doc, "\n")
+    return "".join(out)
+
+
 def to_json(e: Expr) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, "expr": _node_to_dict(e)}, indent=2)
+    """The estimand as a ``schema_version`` 1 JSON document, indented by two
+    spaces, byte for byte ``json.dumps`` of ``{"schema_version": 1, "expr":
+    _node_to_dict(e)}`` with ``indent=2``. The document is the DAG's tree
+    expansion, so a shared subtree is written out at every place it occurs;
+    ``from_json`` reads it back to an equal expression."""
+    return _dumps_indented({"schema_version": SCHEMA_VERSION, "expr": _node_to_dict(e)})
 
 
 def _name(value, path: str, what: str) -> str:

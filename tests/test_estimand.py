@@ -31,7 +31,7 @@ from causalid import (
     to_json,
     well_formed,
 )
-from causalid.estimand import MAX_DEPTH, render_dot
+from causalid.estimand import MAX_DEPTH, _node_to_dict, render_dot
 from helpers import ScalarEvaluator, chain, dag_nodes, depth, random_positive_joint
 
 
@@ -293,6 +293,26 @@ def test_binding_out_of_range_raises(value):
     with pytest.raises(EvaluationError, match=r"value of 'y' out of range 0\.\.1"):
         evaluate(e, joint, {"a": 2, "y": value})
     assert evaluate(e, joint, {"a": np.arange(3), "y": 1}).shape == (3,)
+
+
+P_AV, P_YV = (Factor(outcomes=(Slot(x, Var("v")),)) for x in ("A", "Y"))
+CARD_MISMATCHES = {
+    # einsum raised a bare ValueError on the diagonal of a 3 x 2 table
+    "factor": (3, Factor(outcomes=(Slot("Y", Var("v")),), given=(Slot("A", Var("v")),)),
+               "'Y' (card 2) and 'A' (card 3)"),
+    # the sum ran over A's three values, not Y's two
+    "sum": (3, Sum(indices=(("v", "Y"),), body=P_AV), "'A' (card 3) and 'Y' (card 2)"),
+    # numpy broadcast A's one value over Y's two and returned a number
+    "product": (1, Product((P_AV, P_YV)), "'A' (card 1) and 'Y' (card 2)"),
+    "quotient": (1, Quotient(P_YV, P_AV), "'Y' (card 2) and 'A' (card 1)"),
+}
+
+
+@pytest.mark.parametrize("card_a, e, vertices", CARD_MISMATCHES.values(), ids=CARD_MISMATCHES)
+def test_one_variable_over_two_cardinalities_raises(card_a, e, vertices):
+    joint = random_positive_joint(7, ("A", "Y"), (card_a, 2))
+    with pytest.raises(EvaluationError, match=re.escape(f"variable 'v' ranges over {vertices}")):
+        evaluate(e, joint, {"v": 1} if free_vars(e) else {})
 
 
 def test_zero_denominator_names_subexpression():
@@ -565,19 +585,27 @@ def test_identify_output_on_a_chain_stays_under_the_bound():
     assert from_json(to_json(res.estimand)) == res.estimand
 
 
+def expressions(vertices, names, values=st.integers(0, 2)):
+    """Expressions over the drawn vertex names, variable names and constants,
+    some with a subtree shared at one depth or at two."""
+    refs = st.one_of(st.builds(Var, names), st.builds(Const, values))
+    slots = st.lists(st.builds(Slot, vertices, refs), max_size=2).map(tuple)
+    return st.recursive(
+        st.builds(Factor, slots, slots),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3).map(lambda ts: Product(tuple(ts))),
+            st.builds(Quotient, inner, inner),
+            st.builds(Sum, st.lists(st.tuples(names, vertices), max_size=2).map(tuple), inner),
+            inner.map(lambda e: Quotient(e, e)),
+            inner.map(lambda e: Product((e, Quotient(e, e)))),
+        ),
+        max_leaves=6,
+    )
+
+
 VERTICES = st.sampled_from(["A", "B", "Y"])
 NAMES = st.sampled_from(["a", "b", "y", "Y"])
-REFS = st.one_of(st.builds(Var, NAMES), st.builds(Const, st.integers(0, 2)))
-SLOTS = st.lists(st.builds(Slot, VERTICES, REFS), max_size=2).map(tuple)
-EXPRS = st.recursive(
-    st.builds(Factor, SLOTS, SLOTS),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=3).map(lambda ts: Product(tuple(ts))),
-        st.builds(Quotient, inner, inner),
-        st.builds(Sum, st.lists(st.tuples(NAMES, VERTICES), max_size=2).map(tuple), inner),
-    ),
-    max_leaves=6,
-)
+EXPRS = expressions(VERTICES, NAMES)
 KEYS = ["kind", "outcomes", "given", "terms", "numerator", "denominator", "body", "indices",
         "var", "vertex", "const", "schema_version", "expr"]
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(allow_nan=False),
@@ -621,6 +649,15 @@ def test_estimand_json_is_an_expression_or_a_parse_error(data):
     except ExpressionParseError:
         return
     readable(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=expressions(st.text(), st.text(), st.integers()))
+def test_to_json_writes_the_bytes_of_json_dumps(e):
+    # names with quotes, backslashes, control characters and non-ASCII, and
+    # subtrees shared at one depth or at two, which the writer copies or
+    # walks again
+    assert to_json(e) == json.dumps({"schema_version": 1, "expr": _node_to_dict(e)}, indent=2)
 
 
 def test_json_round_trip_fuzz():

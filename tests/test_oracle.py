@@ -331,6 +331,35 @@ def test_verify_reports_its_worst_point(fig1b, fig1c):
         "assignment": worst, "got": report.got, "want": report.want}
 
 
+VERIFY_PINS = [
+    # (outcomes, treatments, SCM seed, max_deviation, got, want, worst point)
+    (("Y",), ("A1", "A2"), 17, "0x1.0000000000000p-52", "0x1.75dd74aa7c375p-1",
+     "0x1.75dd74aa7c377p-1", {"A1": 0, "A2": 0, "Y": 1}),
+    (("Y",), ("A1",), 2, "0x1.0000000000000p-53", "0x1.b9672ad90e992p-2",
+     "0x1.b9672ad90e990p-2", {"A1": 0, "Y": 0}),
+    (("W", "Y"), ("A1",), 5, "0x1.8000000000000p-54", "0x1.c119031090605p-3",
+     "0x1.c119031090602p-3", {"A1": 1, "W": 1, "Y": 0}),
+]
+
+
+@pytest.mark.parametrize("outcomes, treatments, seed, deviation, got, want, worst", VERIFY_PINS)
+def test_verify_reports_are_pinned_to_the_bit(fig1b, outcomes, treatments, seed, deviation,
+                                              got, want, worst):
+    # exact floats: a change of contraction or summation order that moves
+    # round-off shows up here, even when every estimand still passes. The
+    # pins were taken with numpy 2.4.6 on x86-64 (CPython 3.11); einsum's
+    # summation order and SIMD accumulation may differ in another numpy
+    # build or on another architecture, so a failure there first asks
+    # whether the platform changed, not the code
+    q = Query(outcomes=outcomes, treatments=treatments)
+    res = identify(fig1b.latent_project(), q)
+    report = verify(random_scm(fig1b, binary_cards(fig1b), seed=seed), q, res)
+    assert report.passed
+    assert (report.max_deviation.hex(), report.got.hex(), report.want.hex()) == (
+        deviation, got, want)
+    assert report.worst == worst
+
+
 def test_verify_fails_on_a_nan_deviation(fig1b, fig1c, monkeypatch):
     # one NaN among the points: the maximum must not drop it
     q = Query(outcomes=("Y",), treatments=("A1", "A2"))
