@@ -50,17 +50,11 @@ class Var(Record):
 
     name: str
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Const(Record):
     """A concrete value plugged directly into a factor slot."""
 
     value: int
-
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
 
 
 Ref = Union[Var, Const]
@@ -72,43 +66,24 @@ class Slot(Record):
     vertex: str
     ref: Ref
 
-    def __init__(self, vertex: str, ref: Ref):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "ref", ref)
-
 
 class Factor(Record):
     outcomes: Tuple[Slot, ...]
-    given: Tuple[Slot, ...]
-
-    def __init__(self, outcomes: Tuple[Slot, ...], given: Tuple[Slot, ...] = ()):
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "given", given)
+    given: Tuple[Slot, ...] = ()
 
 
 class Product(Record):
     terms: Tuple["Expr", ...]
-
-    def __init__(self, terms: Tuple["Expr", ...]):
-        object.__setattr__(self, "terms", terms)
 
 
 class Quotient(Record):
     numerator: "Expr"
     denominator: "Expr"
 
-    def __init__(self, numerator: "Expr", denominator: "Expr"):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
 
 class Sum(Record):
     indices: Tuple[Tuple[str, str], ...]  # (variable name, vertex) pairs
     body: "Expr"
-
-    def __init__(self, indices: Tuple[Tuple[str, str], ...], body: "Expr"):
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "body", body)
 
 
 Expr = Union[Factor, Product, Quotient, Sum]

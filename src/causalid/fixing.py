@@ -52,9 +52,6 @@ class NotReachable(Record):
 
     residual: Tuple[str, ...]
 
-    def __init__(self, residual: Tuple[str, ...]):
-        object.__setattr__(self, "residual", residual)
-
 
 def is_fixable(g: MixedGraph, r: str, within: Optional[AbstractSet[str]] = None) -> bool:
     """True iff no other vertex is both a descendant of ``r`` and bidirected-

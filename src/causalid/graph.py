@@ -80,7 +80,6 @@ class MixedGraph:
             self, "bidirected", frozenset(frozenset(_edge(e, "bidirected")) for e in bidirected)
         )
         self._validate()
-        self._index()
 
     def _index(self) -> None:
         pa: Dict[str, Set[str]] = {v: set() for v in self.vertices}
@@ -142,6 +141,7 @@ class MixedGraph:
             for v in e:
                 if v not in allv:
                     raise UnknownVertexError(v)
+        self._index()
         for t, h in self.directed:
             if h in fxd:
                 raise GraphError(f"directed edge into fixed vertex {h!r}")
@@ -156,18 +156,13 @@ class MixedGraph:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        indeg = {v: 0 for v in set(self.random) | set(self.fixed)}
-        for _, h in self.directed:
-            indeg[h] += 1
+        indeg = {v: len(ps) for v, ps in self._pa.items()}
         queue = [v for v, d in indeg.items() if d == 0]
         seen = 0
-        ch: Dict[str, List[str]] = {v: [] for v in indeg}
-        for t, h in self.directed:
-            ch[t].append(h)
         while queue:
             v = queue.pop()
             seen += 1
-            for c in ch[v]:
+            for c in self._ch[v]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
@@ -179,7 +174,7 @@ class MixedGraph:
             path, cur = [], min(leftover)
             while cur not in path:
                 path.append(cur)
-                cur = min(t for t, h in self.directed if h == cur and t in leftover)
+                cur = min(self._pa[cur] & leftover)
             cycle = path[path.index(cur):][::-1]  # walked against the edges
             least = cycle.index(min(cycle))
             raise CycleError(cycle[least:] + cycle[:least])
@@ -250,16 +245,6 @@ class MixedGraph:
         return blocks
 
     # ------------------------------------------------------------- subgraphs
-
-    def induced_subgraph(self, vs: Iterable[str]) -> "MixedGraph":
-        vs = self._require(vs)
-        return MixedGraph(
-            random=(v for v in self.random if v in vs),
-            fixed=(v for v in self.fixed if v in vs),
-            hidden=self.hidden & vs,
-            directed=((t, h) for t, h in self.directed if t in vs and h in vs),
-            bidirected=(e for e in self.bidirected if e <= vs),
-        )
 
     def ancestral_avoiding(self, outcomes: Iterable[str], avoid: Iterable[str]) -> FrozenSet[str]:
         """Vertices with a directed path to ``outcomes`` that dodges ``avoid``.

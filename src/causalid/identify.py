@@ -58,11 +58,6 @@ class Decomposition(Record):
     districts: Tuple[Tuple[str, ...], ...]
     contexts: Mapping[Tuple[str, ...], Tuple[str, ...]]
 
-    def __init__(self, ystar, districts, contexts):
-        object.__setattr__(self, "ystar", ystar)
-        object.__setattr__(self, "districts", districts)
-        object.__setattr__(self, "contexts", contexts)
-
 
 def decompose(g: MixedGraph, query: Query) -> Decomposition:
     """Split the query into districts of the relevant ancestral subgraph.
@@ -132,11 +127,6 @@ class HedgeWitness(Record):
     outer: Tuple[str, ...]
     roots: Tuple[str, ...]
 
-    def __init__(self, inner: Tuple[str, ...], outer: Tuple[str, ...], roots: Tuple[str, ...]):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "roots", roots)
-
     def to_dict(self) -> dict:
         return {"inner": list(self.inner), "outer": list(self.outer), "roots": list(self.roots)}
 
@@ -200,13 +190,6 @@ class Identified(Record):
     districts: Tuple[Tuple[Tuple[str, ...], ex.Expr, Tuple[str, ...]], ...]
     treatment_labels: Mapping[str, str]
 
-    def __init__(self, graph, query, estimand, districts, treatment_labels):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "query", query)
-        object.__setattr__(self, "estimand", estimand)
-        object.__setattr__(self, "districts", districts)
-        object.__setattr__(self, "treatment_labels", treatment_labels)
-
     @property
     def identified(self) -> bool:
         return True
@@ -231,12 +214,6 @@ class NotIdentified(Record):
     query: Query
     witness: HedgeWitness
     failing_districts: Tuple[Tuple[str, ...], ...]
-
-    def __init__(self, graph, query, witness, failing_districts):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "query", query)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "failing_districts", failing_districts)
 
     @property
     def identified(self) -> bool:
@@ -332,11 +309,6 @@ class FailureReport(Record):
     hedge_exists: bool
     some_district_not_intrinsic: bool
     some_district_proper_closure: bool
-
-    def __init__(self, hedge_exists, some_district_not_intrinsic, some_district_proper_closure):
-        object.__setattr__(self, "hedge_exists", hedge_exists)
-        object.__setattr__(self, "some_district_not_intrinsic", some_district_not_intrinsic)
-        object.__setattr__(self, "some_district_proper_closure", some_district_proper_closure)
 
     def as_tuple(self) -> Tuple[bool, bool, bool]:
         return (

@@ -175,14 +175,6 @@ class VerificationReport(Record):
     got: float
     want: float
 
-    def __init__(self, max_deviation, tolerance, points, worst, got, want):
-        object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "worst", worst)
-        object.__setattr__(self, "got", got)
-        object.__setattr__(self, "want", want)
-
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance

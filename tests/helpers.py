@@ -49,6 +49,19 @@ def chain(n: int):
     return MixedGraph(random=names, directed=list(zip(names, names[1:])))
 
 
+def induced_subgraph(g: MixedGraph, vs) -> MixedGraph:
+    """The subgraph of ``g`` induced by ``vs``, a subset of its vertices,
+    built through the validating constructor."""
+    vs = set(vs)
+    return MixedGraph(
+        random=(v for v in g.random if v in vs),
+        fixed=(v for v in g.fixed if v in vs),
+        hidden=g.hidden & vs,
+        directed=((t, h) for t, h in g.directed if t in vs and h in vs),
+        bidirected=(e for e in g.bidirected if e <= vs),
+    )
+
+
 def random_hidden_dag(
     rng: pyrandom.Random, n_obs: int, n_hidden: int, p_dir: float = 0.4, observed=None
 ):

@@ -18,7 +18,13 @@ from causalid import (
     is_intrinsic,
     reachable_closure,
 )
-from helpers import chain, exhaustive_valid_orderings, random_admg, random_hidden_dag
+from helpers import (
+    chain,
+    exhaustive_valid_orderings,
+    induced_subgraph,
+    random_admg,
+    random_hidden_dag,
+)
 
 
 # ----------------------------------------------------------------- fixability
@@ -224,8 +230,8 @@ def test_derived_graphs_equal_validated_ones(seed):
                 if is_fixable(h, r2):
                     assert_same_as_validated(fix(h, r2))
     for k in range(len(g.random) + 1):
-        assert_same_as_validated(g.induced_subgraph(rng.sample(list(g.random), k)))
+        assert_same_as_validated(induced_subgraph(g, rng.sample(list(g.random), k)))
     hidden_dag = random_hidden_dag(rng, rng.randint(1, 4), rng.randint(1, 3))
     names = list(hidden_dag.random)
     subset = rng.sample(names, rng.randint(0, len(names)))
-    assert_same_as_validated(hidden_dag.induced_subgraph(subset))
+    assert_same_as_validated(induced_subgraph(hidden_dag, subset))

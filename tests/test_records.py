@@ -4,6 +4,7 @@ equal, no assignment, identity equality for the numpy-backed types, and the
 constructor defaults and normalization."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
@@ -27,8 +28,11 @@ from causalid import (
     Sum,
     Var,
     VerificationReport,
+    from_json,
     identify,
+    to_json,
 )
+from causalid._record import Record
 from causalid.identify import Decomposition, decompose
 
 FRONT = MixedGraph(random=["A", "M", "Y"], directed=[("A", "M"), ("M", "Y")],
@@ -219,3 +223,50 @@ def test_keyword_and_positional_construction_agree():
     assert FailureReport(True, False, True).as_tuple() == (True, False, True)
     d = CASES["Decomposition"][0]()
     assert d == Decomposition(ystar=d.ystar, districts=d.districts, contexts=dict(d.contexts))
+
+
+def test_constructor_parameters_are_the_fields():
+    for name in CASES:
+        CASES[name][0]()  # imports the module of every record type
+    records = Record.__subclasses__()
+    assert {cls.__name__ for cls in records} == set(CASES)
+    for cls in records:
+        assert tuple(inspect.signature(cls).parameters) == cls._fields
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Slot("A"),
+    lambda: Slot("A", Var("a"), vertx="B"),
+    lambda: Slot("A", Var("a"), vertex="B"),
+    lambda: Slot("A", Var("a"), None),
+    lambda: Factor(),
+    lambda: Factor((), (), ()),
+    lambda: FailureReport(True, False, True, some_district_not_intrinsic=True),
+])
+def test_generated_constructors_refuse_bad_arguments(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def chain_of_products(depth, leaf):
+    e = fa("A", leaf)
+    for _ in range(depth):
+        e = Product((e, e))
+    return e
+
+
+def test_equality_is_iterative_and_visits_shared_nodes_once():
+    # each tree of 2**40 leaves is a DAG of 41 nodes; the two share none
+    a, b = chain_of_products(40, "a"), chain_of_products(40, "a")
+    assert a == b and not a != b
+    assert a != chain_of_products(40, "b")
+    e = fa("A")
+    for i in range(254):  # 255 nodes on the path from the root
+        e = Product((e, fa("B", f"b{i}")))
+    assert from_json(to_json(e)) == e
+    assert from_json(to_json(e)) != Product((e.terms[0], fa("B", "c")))
+
+
+def test_equality_compares_leaves_with_eq():
+    assert Const(1) == Const(1.0) and hash(Const(1)) == hash(Const(1.0))
+    assert Slot("A", Const(True)) == Slot("A", Const(1)) != Slot("A", Var(1))
